@@ -22,7 +22,7 @@ def main() -> None:
         gamma = triangle_neighbors(g, v)
         print(
             f"  node {v}: degree {g.degree(v)}, "
-            f"triangle neighbors {sorted(gamma.members) or '-'}, "
+            f"triangle neighbors {sorted(gamma) or '-'}, "
             f"incident triangles {triangles_at(g, v)}"
         )
 

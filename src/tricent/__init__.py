@@ -8,7 +8,6 @@ ranking-comparison and node-removal experiments and a small CLI.
 """
 
 from .graph import (
-    GammaSet,
     Graph,
     NodeId,
     ParseError,
@@ -44,8 +43,6 @@ from .experiments import (
     RankingTable,
     RemovalReport,
     comparison_table,
-    oracle_betweenness,
-    oracle_triangles,
     plot_series,
     random_removal_density,
     rank_top_k,
@@ -59,7 +56,6 @@ __all__ = [
     "ConvergenceError",
     "DEFAULT_SEED",
     "EXPERIMENT_DAMPING",
-    "GammaSet",
     "Graph",
     "Measure",
     "NodeId",
@@ -78,8 +74,6 @@ __all__ = [
     "density",
     "eigenvector_centrality",
     "load_graph",
-    "oracle_betweenness",
-    "oracle_triangles",
     "pagerank",
     "parse_edgelist",
     "parse_pajek",

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,34 +24,15 @@ from .experiments import (
     rank_top_k,
     removal_impact,
 )
-from .graph import Graph, ParseError, density, load_graph, triangles_at
+from .graph import ParseError, density, load_graph, triangles_at
 from .measures import ConvergenceError, Measure, compute
 
 _FORMATS = ("csv", "json", "tsv")
 _INPUT_FORMATS = ("auto", "pajek", "edgelist")
 
-
-class SizeParameterError(ValueError):
-    """A numeric parameter is valid in isolation but not for this graph."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, parsed and validated."""
-
-    command: str
-    inputs: Tuple[str, ...]
-    input_format: str
-    measure: Measure
-    measures: Tuple[Measure, ...]
-    k: int
-    output_format: str
-    damping: float
-    tol: float
-    max_iter: int
-    seed: int
-    with_plot_series: bool
-    with_random_baseline: bool
+# A table is a header plus rows of JSON-ready values: ints, strings, floats
+# already rounded to their printed precision, node lists, or None.
+Table = Tuple[List[str], List[list]]
 
 
 def _parse_measures(text: str) -> Tuple[Measure, ...]:
@@ -78,8 +59,8 @@ def _parse_measure(text: str) -> Measure:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 
@@ -151,232 +132,131 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        inputs=tuple(args.inputs),
-        input_format=args.input_format,
-        measure=getattr(args, "measure", Measure.TC),
-        measures=tuple(getattr(args, "measures", COMPARISON_MEASURES)),
-        k=getattr(args, "k", 5),
-        output_format=args.output_format,
-        damping=getattr(args, "damping", EXPERIMENT_DAMPING),
-        tol=getattr(args, "tol", 1e-10),
-        max_iter=getattr(args, "max_iter", 1000),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        with_plot_series=getattr(args, "plot_series", False),
-        with_random_baseline=getattr(args, "random_baseline", False),
-    )
+def _solver(args: argparse.Namespace) -> Dict:
+    return {"damping": args.damping, "tol": args.tol, "max_iter": args.max_iter}
 
 
-def _load(path: str, input_format: str) -> Graph:
-    fmt = "auto" if input_format == "auto" else input_format
-    return load_graph(path, fmt=fmt)
-
-
-def _score_text(value: float) -> str:
-    return f"{value:.6g}"
-
-
-def _density_text(value: Optional[float]) -> str:
-    return "undefined" if value is None else f"{value:.4f}"
-
-
-def _table_text(header: Sequence[str], rows: Sequence[Sequence[str]], sep: str) -> str:
-    lines = [sep.join(header)]
-    lines.extend(sep.join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(graph, command: str, params: Dict, rows: List[Dict], extra: Optional[Dict] = None) -> str:
-    doc = {"graph": graph, "command": command, "params": params, "rows": rows}
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _graph_name(path: str) -> str:
+def _name(path: str) -> str:
     return Path(path).stem
 
 
-def cmd_rank(config: RunConfig) -> str:
-    g = _load(config.inputs[0], config.input_format)
-    scores = compute(
-        g,
-        config.measure,
-        damping=config.damping,
-        tol=config.tol,
-        max_iter=config.max_iter,
-    )
-    top = rank_top_k(scores, config.k)
-    params = {
-        "measure": config.measure.value,
-        "k": config.k,
-        "damping": config.damping,
-        "tol": config.tol,
-        "max_iter": config.max_iter,
-    }
-    if config.output_format == "json":
-        rows = [
-            {"rank": r, "node": node, "score": float(_score_text(scores[node]))}
-            for r, node in enumerate(top, start=1)
-        ]
-        return _json_text(_graph_name(config.inputs[0]), "rank", params, rows)
-    sep = "," if config.output_format == "csv" else "\t"
-    body = [
-        [str(r), str(node), _score_text(scores[node])]
-        for r, node in enumerate(top, start=1)
-    ]
-    return _table_text(["rank", "node", "score"], body, sep)
+def _six(value: float) -> float:
+    """``value`` rounded to the 6 significant digits it prints with."""
+    return float(f"{value:.6g}")
 
 
-def cmd_compare(config: RunConfig) -> str:
-    g = _load(config.inputs[0], config.input_format)
-    table = comparison_table(
-        g,
-        _graph_name(config.inputs[0]),
-        config.k,
-        damping=config.damping,
-        tol=config.tol,
-        max_iter=config.max_iter,
-    )
-    columns = [(m, table.column(m)) for m in config.measures]
-    depth = min(config.k, g.node_count)
-    params = {
-        "measures": [m.value for m in config.measures],
-        "k": config.k,
-        "damping": config.damping,
-        "tol": config.tol,
-        "max_iter": config.max_iter,
-    }
+def render(
+    args: argparse.Namespace,
+    graph,
+    params: Dict,
+    table: Table,
+    float_format: str = ".6g",
+    plot: Optional[Table] = None,
+) -> str:
+    """The one output path: a table (plus an optional plot table) as csv, tsv or json.
+
+    In csv/tsv every float prints with ``float_format``, a node list as
+    space-separated labels and None as ``undefined``; the plot table follows
+    after a blank line. In json the rows become objects keyed by the header,
+    and the plot table becomes its columns.
+    """
+    header, rows = table
+    if args.output_format == "json":
+        doc = {
+            "graph": graph,
+            "command": args.command,
+            "params": params,
+            "rows": [dict(zip(header, row)) for row in rows],
+        }
+        if plot is not None:
+            plot_header, plot_rows = plot
+            networks, *series = (list(col) for col in zip(*plot_rows))
+            doc["plot"] = {"networks": networks, "series": dict(zip(plot_header[1:], series))}
+        return json.dumps(doc, indent=2) + "\n"
+
+    sep = "," if args.output_format == "csv" else "\t"
+
+    def cell(value) -> str:
+        if value is None:
+            return "undefined"
+        if isinstance(value, float):
+            return format(value, float_format)
+        if isinstance(value, list):
+            return " ".join(map(str, value))
+        return str(value)
+
+    def text(header: List[str], rows: List[list]) -> str:
+        return "".join(sep.join(map(cell, line)) + "\n" for line in [header, *rows])
+
+    out = text(header, rows)
+    if plot is not None:
+        out += "\n" + text(*plot)
+    return out
+
+
+def cmd_rank(args: argparse.Namespace) -> str:
+    path = args.inputs[0]
+    scores = compute(load_graph(path, fmt=args.input_format), args.measure, **_solver(args))
+    top = rank_top_k(scores, args.k)
+    rows = [[r, node, _six(scores[node])] for r, node in enumerate(top, start=1)]
+    params = {"measure": args.measure.value, "k": args.k, **_solver(args)}
+    return render(args, _name(path), params, (["rank", "node", "score"], rows))
+
+
+def cmd_compare(args: argparse.Namespace) -> str:
+    path = args.inputs[0]
+    g = load_graph(path, fmt=args.input_format)
+    table = comparison_table(g, _name(path), args.k, args.measures, **_solver(args))
+    header = [m.value for m, _ in table.columns]
     # rows are node labels only: row r holds each measure's rank-(r+1) node
-    if config.output_format == "json":
-        rows = [
-            {m.value: nodes[r] for m, nodes in columns}
-            for r in range(depth)
-        ]
-        return _json_text(table.graph_name, "compare", params, rows)
-    sep = "," if config.output_format == "csv" else "\t"
-    header = [m.value for m, _ in columns]
-    body = [[str(nodes[r]) for _, nodes in columns] for r in range(depth)]
-    return _table_text(header, body, sep)
+    rows = [list(row) for row in zip(*(nodes for _, nodes in table.columns))]
+    params = {"measures": header, "k": args.k, **_solver(args)}
+    return render(args, table.graph_name, params, (header, rows))
 
 
-def cmd_ablate(config: RunConfig) -> str:
-    names = [_graph_name(p) for p in config.inputs]
+def cmd_ablate(args: argparse.Namespace) -> str:
+    tags = [m.value for m in args.measures]
     reports = []
-    baselines: List[Optional[float]] = []
-    for path in config.inputs:
-        g = _load(path, config.input_format)
-        if config.k >= g.node_count:
-            raise SizeParameterError(
-                f"{path}: k={config.k} must be smaller than the node count {g.node_count}"
+    rows: List[list] = []
+    for path in args.inputs:
+        g = load_graph(path, fmt=args.input_format)
+        if args.k >= g.node_count:
+            raise ValueError(
+                f"{path}: k={args.k} must be smaller than the node count {g.node_count}"
             )
-        reports.append(
-            removal_impact(
-                g,
-                _graph_name(path),
-                config.k,
-                damping=config.damping,
-                tol=config.tol,
-                max_iter=config.max_iter,
-            )
+        report = removal_impact(g, _name(path), args.k, args.measures, **_solver(args))
+        reports.append(report)
+        for m in args.measures:
+            removed = list(report.removed[m])
+            rows.append([report.graph_name, m.value, round(report.rows[m], 4), removed])
+        if args.random_baseline:
+            baseline = random_removal_density(g, args.k, trials=100, seed=args.seed)
+            rows.append([report.graph_name, "RAND", round(baseline, 4), []])
+
+    plot = None
+    if args.plot_series:
+        series = plot_series(reports)
+        plot = (
+            ["network"] + tags,
+            [
+                [name] + [round(series.series[m][i], 4) for m in args.measures]
+                for i, name in enumerate(series.names)
+            ],
         )
-        if config.with_random_baseline:
-            baselines.append(
-                random_removal_density(g, config.k, trials=100, seed=config.seed)
-            )
-        else:
-            baselines.append(None)
-
-    params = {
-        "measures": [m.value for m in config.measures],
-        "k": config.k,
-        "damping": config.damping,
-        "tol": config.tol,
-        "max_iter": config.max_iter,
-        "seed": config.seed,
-    }
-    series = plot_series(reports) if config.with_plot_series else None
-
-    if config.output_format == "json":
-        rows = []
-        for report, baseline in zip(reports, baselines):
-            for m in config.measures:
-                rows.append(
-                    {
-                        "graph": report.graph_name,
-                        "measure": m.value,
-                        "density": round(report.rows[m], 4),
-                        "removed": list(report.removed[m]),
-                    }
-                )
-            if baseline is not None:
-                rows.append(
-                    {
-                        "graph": report.graph_name,
-                        "measure": "RAND",
-                        "density": round(baseline, 4),
-                        "removed": [],
-                    }
-                )
-        extra = None
-        if series is not None:
-            extra = {
-                "plot": {
-                    "networks": list(series.names),
-                    "series": {
-                        m.value: [round(v, 4) for v in series.series[m]]
-                        for m in config.measures
-                    },
-                }
-            }
-        graph_field = names[0] if len(names) == 1 else names
-        return _json_text(graph_field, "ablate", params, rows, extra)
-
-    sep = "," if config.output_format == "csv" else "\t"
-    body = []
-    for report, baseline in zip(reports, baselines):
-        for m in config.measures:
-            removed = " ".join(str(v) for v in report.removed[m])
-            body.append([report.graph_name, m.value, f"{report.rows[m]:.4f}", removed])
-        if baseline is not None:
-            body.append([report.graph_name, "RAND", f"{baseline:.4f}", ""])
-    text = _table_text(["graph", "measure", "density", "removed"], body, sep)
-    if series is not None:
-        header = ["network"] + [m.value for m in config.measures]
-        rows = [
-            [series.names[i]] + [f"{series.series[m][i]:.4f}" for m in config.measures]
-            for i in range(len(series.names))
-        ]
-        text += "\n" + _table_text(header, rows, sep)
-    return text
+    names = [_name(p) for p in args.inputs]
+    graph = names[0] if len(names) == 1 else names
+    params = {"measures": tags, "k": args.k, **_solver(args), "seed": args.seed}
+    table = (["graph", "measure", "density", "removed"], rows)
+    return render(args, graph, params, table, ".4f", plot)
 
 
-def cmd_info(config: RunConfig) -> str:
-    g = _load(config.inputs[0], config.input_format)
+def cmd_info(args: argparse.Namespace) -> str:
+    path = args.inputs[0]
+    g = load_graph(path, fmt=args.input_format)
     triangle_total = sum(triangles_at(g, v) for v in g.nodes) // 3
-    dens = density(g) if g.node_count >= 2 else None
-    if config.output_format == "json":
-        rows = [
-            {
-                "nodes": g.node_count,
-                "edges": g.edge_count,
-                "density": None if dens is None else float(f"{dens:.6g}"),
-                "triangles": triangle_total,
-            }
-        ]
-        return _json_text(_graph_name(config.inputs[0]), "info", {}, rows)
-    sep = "," if config.output_format == "csv" else "\t"
-    body = [
-        [
-            str(g.node_count),
-            str(g.edge_count),
-            "undefined" if dens is None else _score_text(dens),
-            str(triangle_total),
-        ]
-    ]
-    return _table_text(["nodes", "edges", "density", "triangles"], body, sep)
+    dens = _six(density(g)) if g.node_count >= 2 else None
+    rows = [[g.node_count, g.edge_count, dens, triangle_total]]
+    return render(args, _name(path), {}, (["nodes", "edges", "density", "triangles"], rows))
 
 
 _COMMANDS = {
@@ -387,18 +267,11 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> str:
-    """Execute one configured command and return the full output text."""
-    return _COMMANDS[config.command](config)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        text = run(config)
-    except ParseError as exc:
+        text = _COMMANDS[args.command](args)
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"tricent: parse error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -407,9 +280,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConvergenceError as exc:
         print(f"tricent: {exc}", file=sys.stderr)
         return 3
-    except SizeParameterError as exc:
-        print(f"tricent: {exc}", file=sys.stderr)
-        return 4
     except ValueError as exc:
         print(f"tricent: {exc}", file=sys.stderr)
         return 4

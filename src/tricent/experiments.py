@@ -1,14 +1,12 @@
-"""Ranking-comparison and node-removal experiments, plus brute-force oracles."""
+"""Ranking-comparison and node-removal experiments."""
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .graph import Graph, NodeId, density
+from .graph import Graph, NodeId, _density
 from .measures import Measure, ScoreVector, compute
 
 # Column order used by every comparison table and removal report.
@@ -68,6 +66,19 @@ class PlotSeries:
         return tuple(range(1, len(self.names) + 1))
 
 
+def _residual_density(g: Graph, removed: Iterable[NodeId]) -> float:
+    """``density(g.remove_nodes(removed))`` from edge counts alone.
+
+    Deleting S leaves m' = m - sum(deg(v) for v in S) + e(S) edges, where e(S)
+    counts the edges inside S (subtracted twice by the degree sum), on
+    n' = n - |S| nodes.
+    """
+    gone = set(removed)
+    inner = sum(len(g.neighbors(v) & gone) for v in gone) // 2
+    left = g.edge_count - sum(g.degree(v) for v in gone) + inner
+    return _density(g.node_count - len(gone), left)
+
+
 def rank_top_k(scores: ScoreVector, k: int) -> List[NodeId]:
     """First min(k, n) nodes by descending score, ties by ascending label."""
     if k < 0:
@@ -80,16 +91,17 @@ def comparison_table(
     g: Graph,
     name: str,
     k: int,
+    measures: Sequence[Measure] = COMPARISON_MEASURES,
     *,
     damping: float = EXPERIMENT_DAMPING,
     tol: float = 1e-10,
     max_iter: int = 1000,
 ) -> RankingTable:
-    """Side-by-side top-k rankings for every comparison measure."""
+    """Side-by-side top-k rankings, one column per measure in ``measures``."""
     if g.node_count == 0:
         raise ValueError("comparison_table needs a nonempty graph")
     columns = []
-    for measure in COMPARISON_MEASURES:
+    for measure in measures:
         scores = compute(g, measure, damping=damping, tol=tol, max_iter=max_iter)
         columns.append((measure, tuple(rank_top_k(scores, k))))
     return RankingTable(graph_name=name, k=k, columns=tuple(columns))
@@ -99,12 +111,13 @@ def removal_impact(
     g: Graph,
     name: str,
     k: int,
+    measures: Sequence[Measure] = COMPARISON_MEASURES,
     *,
     damping: float = EXPERIMENT_DAMPING,
     tol: float = 1e-10,
     max_iter: int = 1000,
 ) -> RemovalReport:
-    """Density left behind after deleting each measure's top-k nodes.
+    """Density left behind after deleting the top-k nodes of each of ``measures``.
 
     Lower residual density means the removed nodes carried more of the
     network's linkage. k = 0 is allowed and reports the intact density.
@@ -113,10 +126,10 @@ def removal_impact(
         raise ValueError(f"k={k} must be smaller than the node count {g.node_count}")
     rows: Dict[Measure, float] = {}
     removed: Dict[Measure, Tuple[NodeId, ...]] = {}
-    for measure in COMPARISON_MEASURES:
+    for measure in measures:
         scores = compute(g, measure, damping=damping, tol=tol, max_iter=max_iter)
         top = tuple(rank_top_k(scores, k))
-        rows[measure] = density(g.remove_nodes(top))
+        rows[measure] = _residual_density(g, top)
         removed[measure] = top
     return RemovalReport(graph_name=name, k=k, rows=rows, removed=removed)
 
@@ -150,81 +163,5 @@ def random_removal_density(
     nodes = list(g.nodes)
     total = 0.0
     for _ in range(trials):
-        total += density(g.remove_nodes(rng.sample(nodes, k)))
+        total += _residual_density(g, rng.sample(nodes, k))
     return total / trials
-
-
-def oracle_triangles(g: Graph) -> Dict[NodeId, int]:
-    """Per-node triangle counts by exhaustive triple enumeration (n <= 200)."""
-    if g.node_count > 200:
-        raise ValueError("oracle_triangles is limited to 200 nodes")
-    counts = dict.fromkeys(g.nodes, 0)
-    for a, b, c in combinations(sorted(g.nodes), 3):
-        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
-            counts[a] += 1
-            counts[b] += 1
-            counts[c] += 1
-    return counts
-
-
-def _is_connected(g: Graph) -> bool:
-    nodes = g.nodes
-    if len(nodes) <= 1:
-        return True
-    start = next(iter(nodes))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(nodes)
-
-
-def _all_shortest_paths(g: Graph, s: NodeId, t: NodeId) -> List[Tuple[NodeId, ...]]:
-    dist = {s: 0}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    if t not in dist:
-        return []
-    paths: List[Tuple[NodeId, ...]] = []
-
-    def extend(prefix: List[NodeId]) -> None:
-        v = prefix[-1]
-        if v == t:
-            paths.append(tuple(prefix))
-            return
-        for w in g.neighbors(v):
-            if dist.get(w) == dist[v] + 1 and dist[w] <= dist[t]:
-                extend(prefix + [w])
-
-    extend([s])
-    return paths
-
-
-def oracle_betweenness(g: Graph, normalized: bool = True) -> ScoreVector:
-    """Betweenness by full shortest-path enumeration (n <= 8, connected)."""
-    if g.node_count > 8:
-        raise ValueError("oracle_betweenness is limited to 8 nodes")
-    if not _is_connected(g):
-        raise ValueError("oracle_betweenness requires a connected graph")
-    pair_sum = dict.fromkeys(g.nodes, 0.0)
-    for s, t in combinations(sorted(g.nodes), 2):
-        paths = _all_shortest_paths(g, s, t)
-        if not paths:
-            continue
-        for v in g.nodes:
-            if v in (s, t):
-                continue
-            through = sum(1 for p in paths if v in p)
-            pair_sum[v] += through / len(paths)
-    n = g.node_count
-    scale = 2.0 / ((n - 1) * (n - 2)) if normalized and n >= 3 else 1.0
-    return ScoreVector(Measure.BC, {v: pair_sum[v] * scale for v in g.nodes})

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, KeysView, Tuple
 
@@ -23,28 +22,6 @@ class UnknownNodeError(LookupError):
     def __init__(self, node: NodeId):
         super().__init__(f"node {node!r} is not in the graph")
         self.node = node
-
-
-@dataclass(frozen=True)
-class GammaSet:
-    """The one-hop triangle-connected neighborhood of ``owner``.
-
-    ``members`` holds every neighbor j of the owner such that some third node
-    is adjacent to both the owner and j, i.e. j closes at least one triangle
-    with the owner. Always a subset of the owner's neighbors.
-    """
-
-    owner: NodeId
-    members: frozenset[NodeId]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[NodeId]:
-        return iter(self.members)
-
-    def __contains__(self, node: object) -> bool:
-        return node in self.members
 
 
 class Graph:
@@ -71,11 +48,6 @@ class Graph:
             v: frozenset(adj[v]) for v in sorted(adj)
         }
         self._edge_count = sum(len(s) for s in self._adj.values()) // 2
-
-    @classmethod
-    def from_edge_list(cls, pairs: Iterable[Tuple[NodeId, NodeId]]) -> "Graph":
-        """Build a graph from raw (u, v) pairs; endpoints may repeat."""
-        return cls(pairs)
 
     @classmethod
     def _from_adjacency(cls, adj: dict[NodeId, frozenset[NodeId]]) -> "Graph":
@@ -152,15 +124,15 @@ class Graph:
         return self.induced_subgraph(self._adj.keys() - victim_set)
 
 
-def triangle_neighbors(g: Graph, i: NodeId) -> GammaSet:
-    """Neighbors of ``i`` that share at least one triangle with it.
+def triangle_neighbors(g: Graph, i: NodeId) -> frozenset[NodeId]:
+    """Neighbors of ``i`` that share at least one triangle with it (gamma_i).
 
     A neighbor j belongs to the set exactly when some other neighbor of ``i``
     is adjacent to j, i.e. the common-neighbor intersection is nonempty.
+    Always a subset of ``g.neighbors(i)``.
     """
     nbrs = g.neighbors(i)
-    members = frozenset(j for j in nbrs if nbrs & g.neighbors(j))
-    return GammaSet(owner=i, members=members)
+    return frozenset(j for j in nbrs if nbrs & g.neighbors(j))
 
 
 def triangles_at(g: Graph, i: NodeId) -> int:
@@ -174,10 +146,13 @@ def density(g: Graph) -> float:
 
     Raises ValueError for graphs with fewer than 2 nodes (zero denominator).
     """
-    n = g.node_count
+    return _density(g.node_count, g.edge_count)
+
+
+def _density(n: int, m: int) -> float:
     if n < 2:
         raise ValueError("density is undefined for graphs with fewer than 2 nodes")
-    return 2.0 * g.edge_count / (n * (n - 1))
+    return 2.0 * m / (n * (n - 1))
 
 
 def parse_edgelist(text: str) -> Graph:

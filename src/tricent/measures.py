@@ -65,7 +65,7 @@ def _require_nonempty(g: Graph) -> None:
 
 def sdeg(g: Graph, i: NodeId) -> int:
     """Size of node i's triangle-connected neighborhood; never exceeds deg(i)."""
-    return len(triangle_neighbors(g, i).members)
+    return len(triangle_neighbors(g, i))
 
 
 def tr_centrality(g: Graph) -> ScoreVector:
@@ -81,20 +81,15 @@ def tr_centrality(g: Graph) -> ScoreVector:
     where D_i is the sum of the in-subgraph degrees of all nodes of G_i.
     Since every edge among i's neighbors joins two triangle neighbors,
     G_i has exactly sdeg_i + NT_i edges, so D_i = 2*(sdeg_i + NT_i) and the
-    whole expression collapses to 0.01 * (3*sdeg_i + NT_i - 2). The 0.01
-    factor only keeps values small on large networks; it never affects rank
-    order. Triangle-free nodes score -0.02.
+    whole expression collapses to the closed form computed here,
+    0.01 * (3*sdeg_i + NT_i - 2). The 0.01 factor only keeps values small on
+    large networks; it never affects rank order. Triangle-free nodes score
+    -0.02.
     """
     _require_nonempty(g)
-    out: dict[NodeId, float] = {}
-    for i in g.nodes:
-        members = triangle_neighbors(g, i).members
-        s = len(members)
-        nt = triangles_at(g, i)
-        cell = members | {i}
-        in_degree_sum = sum(len(g.neighbors(j) & cell) for j in cell)
-        out[i] = 0.01 * (3 * s - (2 * (s + 1) + nt) + in_degree_sum)
-    return ScoreVector(Measure.TC, out)
+    return ScoreVector(
+        Measure.TC, {i: 0.01 * (3 * sdeg(g, i) + triangles_at(g, i) - 2) for i in g.nodes}
+    )
 
 
 def sdeg_centrality(g: Graph) -> ScoreVector:
@@ -203,8 +198,8 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -
     without edges score 0 everywhere; isolated nodes decay to ~0.
     """
     _require_nonempty(g)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     order = sorted(g.nodes)
     if g.edge_count == 0:
         return ScoreVector(Measure.EC, {v: 0.0 for v in order})
@@ -239,8 +234,8 @@ def pagerank(
     _require_nonempty(g)
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie strictly between 0 and 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     order = sorted(g.nodes)
     n = len(order)
     a = _adjacency_matrix(g, order)

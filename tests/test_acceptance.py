@@ -21,8 +21,6 @@ from tricent import (
     comparison_table,
     compute,
     eigenvector_centrality,
-    oracle_betweenness,
-    oracle_triangles,
     pagerank,
     rank_top_k,
     removal_impact,
@@ -32,6 +30,7 @@ from tricent import (
 )
 
 from conftest import dataset_or_none, random_connected_graph, random_graph
+from oracles import oracle_betweenness, oracle_triangles
 
 GOLDEN_TOP5 = {
     Measure.TC: (1, 34, 33, 2, 3),

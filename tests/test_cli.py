@@ -181,11 +181,30 @@ def test_malformed_pajek_exits_2(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.net"
+    bad.write_bytes(b"\xff\xfe*Vertices 2\n")
+    code, out, err = run_cli(capsys, "info", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err
+
+
 def test_convergence_failure_exits_3(capsys):
     code, out, err = run_cli(capsys, "rank", KARATE, "--measure", "pr", "--max-iter", "1")
     assert code == 3
     assert out == ""
     assert "converge" in err
+
+
+def test_unrequested_measures_are_not_computed(capsys):
+    # EC cannot converge in one step, but only TC is asked for
+    code, out, err = run_cli(capsys, "compare", KARATE, "--measures", "TC", "--max-iter", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["TC", "1", "34", "33", "2", "3"]
+    code, out, err = run_cli(capsys, "ablate", KARATE, "--measures", "TC", "--max-iter", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "karate,TC,0.0468,1 34 33 2 3"
 
 
 def test_oversized_k_exits_4(capsys):
@@ -205,6 +224,10 @@ def test_bad_usage_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rank", KARATE, "--damping", "1.5"])
     assert exc.value.code == 2
+    for tol in ("nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", KARATE, "--measure", "ec", "--tol", tol])
+        assert exc.value.code == 2
 
 
 # --------------------------------------------------------------- determinism

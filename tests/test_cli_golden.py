@@ -1,0 +1,52 @@
+"""Golden bytes: every CLI command's full stdout and exit code, in every format.
+
+The expected outputs live in ``tests/golden/<case>.<format>``. They pin the
+exact bytes (number formatting, JSON value types, blank-line separators), so
+a refactor of the output path shows any drift here first.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from tricent.cli import main
+
+from conftest import DATA_DIR
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+KARATE = str(DATA_DIR / "karate.net")
+TOY = str(GOLDEN / "toy.edges")
+
+CASES = {
+    "rank-tc": ("rank", KARATE, "--measure", "tc", "--k", "5"),
+    "rank-tr": ("rank", KARATE, "--measure", "tr", "--k", "7"),
+    "compare": ("compare", KARATE, "--k", "5"),
+    "compare-tc-tr": ("compare", KARATE, "--measures", "TC,TR"),
+    "info": ("info", KARATE),
+    "ablate": ("ablate", KARATE, TOY, "--plot-series", "--random-baseline"),
+}
+
+
+def run_cli(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_bytes(capsys, case, fmt):
+    code, out, err = run_cli(capsys, CASES[case] + ("--format", fmt))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{case}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
+def test_golden_bytes_info_empty_edgelist(tmp_path, capsys, fmt):
+    empty = tmp_path / "empty.edges"
+    empty.write_text("")
+    code, out, err = run_cli(capsys, ("info", str(empty), "--format", fmt))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"info-empty.{fmt}").read_text()

@@ -18,8 +18,6 @@ from tricent import (
     comparison_table,
     compute,
     density,
-    oracle_betweenness,
-    oracle_triangles,
     plot_series,
     random_removal_density,
     rank_top_k,
@@ -29,6 +27,7 @@ from tricent import (
 )
 
 from conftest import random_connected_graph, random_graph
+from oracles import oracle_betweenness, oracle_triangles
 
 # ------------------------------------------------------------------ rank_top_k
 

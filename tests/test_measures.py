@@ -24,6 +24,7 @@ from tricent import (
     sdeg_centrality,
     tr_centrality,
     triangle_count_centrality,
+    triangle_neighbors,
     triangles_at,
 )
 
@@ -56,16 +57,30 @@ def test_tc_triangle_free_nodes_score_minus_002(path3):
     assert all(scores[v] == pytest.approx(-0.02, abs=1e-12) for v in path3.nodes)
 
 
+def tc_longhand(g, i):
+    """TC_i straight from the mobility definition, with D_i summed over the cell.
+
+    The cell is the subgraph induced on {i} | gamma_i; D_i is the sum of its
+    nodes' degrees inside the cell.
+    """
+    members = triangle_neighbors(g, i)
+    s = len(members)
+    cell = members | {i}
+    in_degree_sum = sum(len(g.neighbors(j) & cell) for j in cell)
+    return 0.01 * (3 * s - (2 * (s + 1) + triangles_at(g, i)) + in_degree_sum)
+
+
 def test_tc_closed_form_matches_definition():
-    # the mobility expression must equal 0.01 * (3*sdeg + NT - 2) everywhere
+    # the closed form 0.01 * (3*sdeg + NT - 2) must equal the mobility expression
     rng = random.Random(7)
     for _ in range(25):
         g = random_graph(rng, rng.randint(2, 20), rng.uniform(0.1, 0.7))
         scores = tr_centrality(g)
         for v in g.nodes:
-            s = sdeg(g, v)
-            nt = triangles_at(g, v)
-            assert scores[v] == pytest.approx(0.01 * (3 * s + nt - 2), abs=1e-12)
+            assert scores[v] == pytest.approx(tc_longhand(g, v), abs=1e-12)
+            assert scores[v] == pytest.approx(
+                0.01 * (3 * sdeg(g, v) + triangles_at(g, v) - 2), abs=1e-12
+            )
 
 
 def test_tc_empty_graph_rejected():
@@ -200,8 +215,9 @@ def test_eigenvector_convergence_error():
 
 
 def test_eigenvector_rejects_bad_tol(karate):
-    with pytest.raises(ValueError):
-        eigenvector_centrality(karate, tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            eigenvector_centrality(karate, tol=tol)
 
 
 # -------------------------------------------------------------------- pagerank
@@ -230,8 +246,9 @@ def test_pagerank_parameter_validation(karate):
         pagerank(karate, damping=1.0)
     with pytest.raises(ValueError):
         pagerank(karate, damping=0.0)
-    with pytest.raises(ValueError):
-        pagerank(karate, tol=-1.0)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            pagerank(karate, tol=tol)
 
 
 def test_pagerank_convergence_error(karate):
