@@ -24,7 +24,7 @@ from .experiments import (
     rank_top_k,
     removal_impact,
 )
-from .graph import ParseError, density, load_graph, triangles_at
+from .graph import ParseError, _triangle_counts, density, load_graph
 from .measures import ConvergenceError, Measure, compute
 
 _FORMATS = ("csv", "json", "tsv")
@@ -47,12 +47,12 @@ def _parse_measures(text: str) -> Tuple[Measure, ...]:
             raise argparse.ArgumentTypeError(f"unknown measure {part!r}")
     if not tags:
         raise argparse.ArgumentTypeError("empty measure list")
-    return tuple(tags)
+    return tuple(dict.fromkeys(tags))  # a repeated tag counts once
 
 
 def _parse_measure(text: str) -> Measure:
     tags = _parse_measures(text)
-    if len(tags) != 1:
+    if len([part for part in text.split(",") if part.strip()]) != 1:
         raise argparse.ArgumentTypeError("expected a single measure tag")
     return tags[0]
 
@@ -216,14 +216,17 @@ def cmd_compare(args: argparse.Namespace) -> str:
 
 def cmd_ablate(args: argparse.Namespace) -> str:
     tags = [m.value for m in args.measures]
-    reports = []
-    rows: List[list] = []
-    for path in args.inputs:
+    graphs = []
+    for path in args.inputs:  # every input is read and checked before any measure runs
         g = load_graph(path, fmt=args.input_format)
         if args.k >= g.node_count:
             raise ValueError(
                 f"{path}: k={args.k} must be smaller than the node count {g.node_count}"
             )
+        graphs.append(g)
+    reports = []
+    rows: List[list] = []
+    for path, g in zip(args.inputs, graphs):
         report = removal_impact(g, _name(path), args.k, args.measures, **_solver(args))
         reports.append(report)
         for m in args.measures:
@@ -253,7 +256,7 @@ def cmd_ablate(args: argparse.Namespace) -> str:
 def cmd_info(args: argparse.Namespace) -> str:
     path = args.inputs[0]
     g = load_graph(path, fmt=args.input_format)
-    triangle_total = sum(triangles_at(g, v) for v in g.nodes) // 3
+    triangle_total = int(_triangle_counts(g)[0].sum()) // 3
     dens = _six(density(g)) if g.node_count >= 2 else None
     rows = [[g.node_count, g.edge_count, dens, triangle_total]]
     return render(args, _name(path), {}, (["nodes", "edges", "density", "triangles"], rows))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from .graph import Graph, NodeId, _density
 from .measures import Measure, ScoreVector, compute
@@ -124,14 +124,9 @@ def removal_impact(
     """
     if k >= g.node_count:
         raise ValueError(f"k={k} must be smaller than the node count {g.node_count}")
-    rows: Dict[Measure, float] = {}
-    removed: Dict[Measure, Tuple[NodeId, ...]] = {}
-    for measure in measures:
-        scores = compute(g, measure, damping=damping, tol=tol, max_iter=max_iter)
-        top = tuple(rank_top_k(scores, k))
-        rows[measure] = _residual_density(g, top)
-        removed[measure] = top
-    return RemovalReport(graph_name=name, k=k, rows=rows, removed=removed)
+    table = comparison_table(g, name, k, measures, damping=damping, tol=tol, max_iter=max_iter)
+    rows = {measure: _residual_density(g, top) for measure, top in table.columns}
+    return RemovalReport(graph_name=name, k=k, rows=rows, removed=dict(table.columns))
 
 
 def plot_series(reports: Sequence[RemovalReport]) -> PlotSeries:

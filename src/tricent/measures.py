@@ -6,12 +6,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence, Tuple
+from typing import Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
-from scipy import sparse
 
-from .graph import Graph, NodeId, triangle_neighbors, triangles_at
+from .graph import Graph, NodeId, _triangle_counts, triangle_neighbors
 
 
 class ConvergenceError(RuntimeError):
@@ -63,6 +62,17 @@ def _require_nonempty(g: Graph) -> None:
         raise ValueError("measure needs a nonempty graph")
 
 
+def _scores(measure: Measure, g: Graph, values: Iterable[float]) -> ScoreVector:
+    """Scores given in node order (the adjacency's row order), as Python floats."""
+    return ScoreVector(measure, dict(zip(g.nodes, np.asarray(values, dtype=float).tolist())))
+
+
+def _neighbor_lists(g: Graph) -> List[List[int]]:
+    """Each node's neighbor indices, as plain lists for the per-source BFS loops."""
+    indptr, indices = g._adj.indptr.tolist(), g._adj.indices.tolist()
+    return [indices[indptr[k] : indptr[k + 1]] for k in range(g.node_count)]
+
+
 def sdeg(g: Graph, i: NodeId) -> int:
     """Size of node i's triangle-connected neighborhood; never exceeds deg(i)."""
     return len(triangle_neighbors(g, i))
@@ -87,27 +97,26 @@ def tr_centrality(g: Graph) -> ScoreVector:
     -0.02.
     """
     _require_nonempty(g)
-    return ScoreVector(
-        Measure.TC, {i: 0.01 * (3 * sdeg(g, i) + triangles_at(g, i) - 2) for i in g.nodes}
-    )
+    triangles, sizes = _triangle_counts(g)
+    return _scores(Measure.TC, g, 0.01 * (3 * sizes + triangles - 2))
 
 
 def sdeg_centrality(g: Graph) -> ScoreVector:
     """Triangle-neighborhood sizes as a score vector."""
     _require_nonempty(g)
-    return ScoreVector(Measure.SDEG, {i: float(sdeg(g, i)) for i in g.nodes})
+    return _scores(Measure.SDEG, g, _triangle_counts(g)[1])
 
 
 def triangle_count_centrality(g: Graph) -> ScoreVector:
     """Per-node count of incident triangles."""
     _require_nonempty(g)
-    return ScoreVector(Measure.TR, {i: float(triangles_at(g, i)) for i in g.nodes})
+    return _scores(Measure.TR, g, _triangle_counts(g)[0])
 
 
 def degree_centrality(g: Graph) -> ScoreVector:
     """Plain degree (number of direct links)."""
     _require_nonempty(g)
-    return ScoreVector(Measure.DC, {i: float(g.degree(i)) for i in g.nodes})
+    return _scores(Measure.DC, g, np.diff(g._adj.indptr))
 
 
 def betweenness_centrality(g: Graph, normalized: bool = True) -> ScoreVector:
@@ -119,26 +128,28 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> ScoreVector:
     ``normalized=False`` returns the raw pair fractions.
     """
     _require_nonempty(g)
-    acc = dict.fromkeys(g.nodes, 0.0)
-    for s in g.nodes:
-        stack: list[NodeId] = []
-        pred: dict[NodeId, list[NodeId]] = {v: [] for v in g.nodes}
-        sigma = dict.fromkeys(g.nodes, 0)
+    nbrs = _neighbor_lists(g)
+    n = len(nbrs)
+    acc = [0.0] * n
+    for s in range(n):
+        stack: list[int] = []
+        pred: list[list[int]] = [[] for _ in range(n)]
+        sigma = [0] * n
         sigma[s] = 1
-        dist = dict.fromkeys(g.nodes, -1)
+        dist = [-1] * n
         dist[s] = 0
         queue = deque([s])
         while queue:
             v = queue.popleft()
             stack.append(v)
-            for w in g.neighbors(v):
+            for w in nbrs[v]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     pred[w].append(v)
-        delta = dict.fromkeys(g.nodes, 0.0)
+        delta = [0.0] * n
         while stack:
             w = stack.pop()
             for v in pred[w]:
@@ -146,9 +157,8 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> ScoreVector:
             if w != s:
                 acc[w] += delta[w]
     # every unordered pair was accumulated from both endpoints
-    n = g.node_count
     scale = 1.0 / ((n - 1) * (n - 2)) if normalized and n >= 3 else 0.5
-    return ScoreVector(Measure.BC, {v: acc[v] * scale for v in g.nodes})
+    return _scores(Measure.BC, g, np.array(acc) * scale)
 
 
 def closeness_centrality(g: Graph) -> ScoreVector:
@@ -159,34 +169,24 @@ def closeness_centrality(g: Graph) -> ScoreVector:
     on connected graphs and to 0 for nodes that reach nothing.
     """
     _require_nonempty(g)
-    n = g.node_count
-    out: dict[NodeId, float] = {}
-    for s in g.nodes:
-        dist = {s: 0}
+    nbrs = _neighbor_lists(g)
+    n = len(nbrs)
+    out = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
         queue = deque([s])
-        total = 0
+        total = reached = 0
         while queue:
             v = queue.popleft()
-            for w in g.neighbors(v):
-                if w not in dist:
+            for w in nbrs[v]:
+                if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     total += dist[w]
+                    reached += 1
                     queue.append(w)
-        reached = len(dist) - 1
-        out[s] = (reached / (n - 1)) * (reached / total) if reached > 0 else 0.0
-    return ScoreVector(Measure.CNC, out)
-
-
-def _adjacency_matrix(g: Graph, order: Sequence[NodeId]) -> sparse.csr_matrix:
-    index = {v: i for i, v in enumerate(order)}
-    rows: list[int] = []
-    cols: list[int] = []
-    for u in order:
-        for v in g.neighbors(u):
-            rows.append(index[u])
-            cols.append(index[v])
-    data = np.ones(len(rows))
-    return sparse.csr_matrix((data, (rows, cols)), shape=(len(order), len(order)))
+        out.append((reached / (n - 1)) * (reached / total) if reached > 0 else 0.0)
+    return _scores(Measure.CNC, g, out)
 
 
 def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -> ScoreVector:
@@ -200,19 +200,17 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -
     _require_nonempty(g)
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    order = sorted(g.nodes)
     if g.edge_count == 0:
-        return ScoreVector(Measure.EC, {v: 0.0 for v in order})
-    a = _adjacency_matrix(g, order)
-    n = len(order)
+        return _scores(Measure.EC, g, [0.0] * g.node_count)
+    n = g.node_count
     x = np.full(n, 1.0 / math.sqrt(n))
     residual = math.inf
     for _ in range(max_iter):
-        ax = a @ x
+        ax = g._adj @ x
         lam = float(x @ ax)
         residual = float(np.max(np.abs(ax - lam * x)))
         if residual < tol:
-            return ScoreVector(Measure.EC, {v: float(x[i]) for i, v in enumerate(order)})
+            return _scores(Measure.EC, g, x)
         y = ax + x
         x = y / float(np.linalg.norm(y))
     raise ConvergenceError(f"eigenvector iteration did not converge in {max_iter} steps", residual)
@@ -236,10 +234,8 @@ def pagerank(
         raise ValueError("damping must lie strictly between 0 and 1")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    order = sorted(g.nodes)
-    n = len(order)
-    a = _adjacency_matrix(g, order)
-    deg = np.array([g.degree(v) for v in order], dtype=float)
+    n = g.node_count
+    deg = np.diff(g._adj.indptr).astype(float)
     dangling = deg == 0.0
     safe_deg = np.where(dangling, 1.0, deg)
     rank = np.full(n, 1.0 / n)
@@ -247,11 +243,11 @@ def pagerank(
     for _ in range(max_iter):
         share = np.where(dangling, 0.0, rank) / safe_deg
         loose_mass = float(rank[dangling].sum())
-        nxt = (1.0 - damping) / n + damping * (a @ share + loose_mass / n)
+        nxt = (1.0 - damping) / n + damping * (g._adj @ share + loose_mass / n)
         change = float(np.max(np.abs(nxt - rank)))
         rank = nxt
         if change < tol:
-            return ScoreVector(Measure.PR, {v: float(rank[i]) for i, v in enumerate(order)})
+            return _scores(Measure.PR, g, rank)
     raise ConvergenceError(f"pagerank did not converge in {max_iter} steps", change)
 
 

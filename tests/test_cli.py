@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from tricent.cli import main
 from conftest import DATA_DIR
 
 KARATE = str(DATA_DIR / "karate.net")
+TOY = str(Path(__file__).resolve().parent / "golden" / "toy.edges")  # 12 nodes
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +214,30 @@ def test_oversized_k_exits_4(capsys):
     assert code == 4
     assert out == ""
     assert "node count" in err
+
+
+def test_ablate_checks_every_input_before_computing(capsys, monkeypatch, tmp_path):
+    from tricent import experiments
+
+    calls = []
+    monkeypatch.setattr(experiments, "compute", lambda *a, **kw: calls.append(a))
+    code, out, err = run_cli(capsys, "ablate", KARATE, TOY, "--k", "12")
+    assert (code, out) == (4, "")
+    assert err.endswith("toy.edges: k=12 must be smaller than the node count 12\n")
+    bad = tmp_path / "bad.net"
+    bad.write_text("*Edges\n1 2\n")
+    code, out, err = run_cli(capsys, "ablate", KARATE, str(bad))
+    assert (code, out) == (2, "")
+    assert calls == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["compare", "ablate"])
+def test_repeated_measure_tag_counts_once(capsys, command, fmt):
+    once = run_cli(capsys, command, KARATE, "--k", "2", "--measures", "TC", "--format", fmt)
+    twice = run_cli(capsys, command, KARATE, "--k", "2", "--measures", "TC,tc", "--format", fmt)
+    assert once[0] == 0
+    assert twice == once
 
 
 def test_bad_usage_exits_2(capsys):

@@ -18,10 +18,20 @@ from conftest import DATA_DIR
 GOLDEN = Path(__file__).resolve().parent / "golden"
 KARATE = str(DATA_DIR / "karate.net")
 TOY = str(GOLDEN / "toy.edges")
+HK = str(GOLDEN / "hk-332.net")  # Holme–Kim, 332 nodes / 1956 edges, triad p = 0.7
+WIDE = str(GOLDEN / "wide-labels.edges")  # negative labels and labels above 2**63
 
 CASES = {
     "rank-tc": ("rank", KARATE, "--measure", "tc", "--k", "5"),
     "rank-tr": ("rank", KARATE, "--measure", "tr", "--k", "7"),
+    **{
+        f"rank-{m}": ("rank", KARATE, "--measure", m, "--k", "10")
+        for m in ("sdeg", "dc", "bc", "cnc", "ec", "pr")
+    },
+    "compare-hk": ("compare", HK, "--k", "10"),
+    "rank-bc-hk": ("rank", HK, "--measure", "bc", "--k", "50"),
+    "info-wide": ("info", WIDE),
+    "rank-ec-wide": ("rank", WIDE, "--measure", "ec", "--k", "8"),
     "compare": ("compare", KARATE, "--k", "5"),
     "compare-tc-tr": ("compare", KARATE, "--measures", "TC,TR"),
     "info": ("info", KARATE),

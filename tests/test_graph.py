@@ -142,6 +142,29 @@ def test_gamma_members_subset_of_neighbors(n, p):
         assert triangle_neighbors(g, v) <= g.neighbors(v)
 
 
+@pytest.mark.parametrize("block_work", [1, 50, 1 << 17])
+def test_triangle_pass_matches_per_node_primitives(monkeypatch, block_work):
+    # the whole-graph pass must not depend on where its row blocks are cut
+    from tricent import graph
+
+    monkeypatch.setattr(graph, "_BLOCK_WORK", block_work)
+    rng = random.Random(block_work)
+    for n, p in [(0, 0.0), (1, 0.0), (9, 0.5), (40, 0.2), (120, 0.08)]:
+        g = random_graph(rng, n, p)
+        triangles, sdeg = graph._triangle_counts(g)
+        assert triangles.tolist() == [triangles_at(g, v) for v in g.nodes]
+        assert sdeg.tolist() == [len(triangle_neighbors(g, v)) for v in g.nodes]
+
+
+def test_labels_beyond_int64_round_trip():
+    big = 2**64 + 5
+    g = Graph([(-(2**70), big), (big, 0), (0, -(2**70)), (0, 3)])
+    assert list(g.nodes) == [-(2**70), 0, 3, big]
+    assert g.neighbors(big) == {-(2**70), 0}
+    assert list(g.edges()) == [(-(2**70), 0), (-(2**70), big), (0, 3), (0, big)]
+    assert triangles_at(g, 0) == 1 and g.degree(0) == 3
+
+
 # --------------------------------------------------------------------- density
 
 
