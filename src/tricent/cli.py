@@ -18,6 +18,7 @@ from .experiments import (
     COMPARISON_MEASURES,
     DEFAULT_SEED,
     EXPERIMENT_DAMPING,
+    _check_k,
     comparison_table,
     plot_series,
     random_removal_density,
@@ -219,10 +220,7 @@ def cmd_ablate(args: argparse.Namespace) -> str:
     graphs = []
     for path in args.inputs:  # every input is read and checked before any measure runs
         g = load_graph(path, fmt=args.input_format)
-        if args.k >= g.node_count:
-            raise ValueError(
-                f"{path}: k={args.k} must be smaller than the node count {g.node_count}"
-            )
+        _check_k(g, args.k, f"{path}: ")
         graphs.append(g)
     reports = []
     rows: List[list] = []

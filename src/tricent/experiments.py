@@ -79,6 +79,15 @@ def _residual_density(g: Graph, removed: Iterable[NodeId]) -> float:
     return _density(g.node_count - len(gone), left)
 
 
+def _check_k(g: Graph, k: int, where: str = "") -> None:
+    """Reject a k that leaves fewer than 2 nodes, whose density is undefined."""
+    n = g.node_count
+    if k >= n:
+        raise ValueError(f"{where}k={k} must be smaller than the node count {n}")
+    if n - k < 2:
+        raise ValueError(f"{where}k={k} leaves 1 of {n} nodes; residual density needs 2")
+
+
 def rank_top_k(scores: ScoreVector, k: int) -> List[NodeId]:
     """First min(k, n) nodes by descending score, ties by ascending label."""
     if k < 0:
@@ -122,8 +131,7 @@ def removal_impact(
     Lower residual density means the removed nodes carried more of the
     network's linkage. k = 0 is allowed and reports the intact density.
     """
-    if k >= g.node_count:
-        raise ValueError(f"k={k} must be smaller than the node count {g.node_count}")
+    _check_k(g, k)
     table = comparison_table(g, name, k, measures, damping=damping, tol=tol, max_iter=max_iter)
     rows = {measure: _residual_density(g, top) for measure, top in table.columns}
     return RemovalReport(graph_name=name, k=k, rows=rows, removed=dict(table.columns))
@@ -150,8 +158,7 @@ def random_removal_density(
     seed: int = DEFAULT_SEED,
 ) -> float:
     """Mean residual density after deleting k uniformly random nodes."""
-    if k >= g.node_count:
-        raise ValueError(f"k={k} must be smaller than the node count {g.node_count}")
+    _check_k(g, k)
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = random.Random(seed)

@@ -6,7 +6,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, List, Mapping, Tuple
+from typing import Iterable, Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -67,12 +67,6 @@ def _scores(measure: Measure, g: Graph, values: Iterable[float]) -> ScoreVector:
     return ScoreVector(measure, dict(zip(g.nodes, np.asarray(values, dtype=float).tolist())))
 
 
-def _neighbor_lists(g: Graph) -> List[List[int]]:
-    """Each node's neighbor indices, as plain lists for the per-source BFS loops."""
-    indptr, indices = g._adj.indptr.tolist(), g._adj.indices.tolist()
-    return [indices[indptr[k] : indptr[k + 1]] for k in range(g.node_count)]
-
-
 def sdeg(g: Graph, i: NodeId) -> int:
     """Size of node i's triangle-connected neighborhood; never exceeds deg(i)."""
     return len(triangle_neighbors(g, i))
@@ -128,8 +122,9 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> ScoreVector:
     ``normalized=False`` returns the raw pair fractions.
     """
     _require_nonempty(g)
-    nbrs = _neighbor_lists(g)
-    n = len(nbrs)
+    n = g.node_count
+    indptr, indices = g._adj.indptr.tolist(), g._adj.indices.tolist()
+    nbrs = [indices[indptr[k] : indptr[k + 1]] for k in range(n)]
     acc = [0.0] * n
     for s in range(n):
         stack: list[int] = []
@@ -161,32 +156,30 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> ScoreVector:
     return _scores(Measure.BC, g, np.array(acc) * scale)
 
 
+# Distance cells per block of closeness sources, each block a (width, n) array.
+_CLOSENESS_CELLS = 1 << 16
+
+
 def closeness_centrality(g: Graph) -> ScoreVector:
     """Closeness with reachable-component scaling.
 
     With r(i) nodes reachable from i (excluding i) at total shortest-path
     distance S(i): score(i) = (r/(n-1)) * (r/S), which reduces to (n-1)/S(i)
-    on connected graphs and to 0 for nodes that reach nothing.
+    on connected graphs and to 0 for nodes that reach nothing. Distances come
+    from scipy's unweighted shortest paths over blocks of sources.
     """
     _require_nonempty(g)
-    nbrs = _neighbor_lists(g)
-    n = len(nbrs)
+    from scipy.sparse import csgraph  # not at module level: it slows `import tricent`
+    n = g.node_count
+    width = max(1, _CLOSENESS_CELLS // n)
     out = []
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        total = reached = 0
-        while queue:
-            v = queue.popleft()
-            for w in nbrs[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    total += dist[w]
-                    reached += 1
-                    queue.append(w)
-        out.append((reached / (n - 1)) * (reached / total) if reached > 0 else 0.0)
-    return _scores(Measure.CNC, g, out)
+    for rows in np.split(np.arange(n), range(width, n, width)):
+        dist = csgraph.shortest_path(g._adj, unweighted=True, indices=rows)
+        reached = np.isfinite(dist).sum(axis=1) - 1
+        total = np.nan_to_num(dist, posinf=0.0).sum(axis=1)
+        # a node that reaches nothing has reached = total = 0 and scores 0.0
+        out.append((reached / max(n - 1, 1)) * (reached / np.maximum(total, 1.0)))
+    return _scores(Measure.CNC, g, np.concatenate(out))
 
 
 def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -> ScoreVector:

@@ -1,7 +1,8 @@
 """Brute-force reimplementations that cross-check the library's fast paths.
 
 Deliberately naive and size-limited: triangles by enumerating every node
-triple, betweenness by listing every shortest path. Test-only.
+triple, betweenness by listing every shortest path, closeness by one plain
+BFS per source. Test-only.
 """
 
 from __future__ import annotations
@@ -87,3 +88,25 @@ def oracle_betweenness(g: Graph, normalized: bool = True) -> ScoreVector:
     n = g.node_count
     scale = 2.0 / ((n - 1) * (n - 2)) if normalized and n >= 3 else 1.0
     return ScoreVector(Measure.BC, {v: pair_sum[v] * scale for v in g.nodes})
+
+
+def oracle_closeness(g: Graph) -> ScoreVector:
+    """Closeness by one breadth-first search per source, in exact integers.
+
+    Same formula as the library: (r/(n-1)) * (r/S) with r nodes reachable at
+    total distance S, and 0 for a node that reaches nothing.
+    """
+    n = g.node_count
+    scores = {}
+    for s in g.nodes:
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        reached, total = len(dist) - 1, sum(dist.values())
+        scores[s] = (reached / (n - 1)) * (reached / total) if reached > 0 else 0.0
+    return ScoreVector(Measure.CNC, scores)

@@ -228,7 +228,32 @@ def test_ablate_checks_every_input_before_computing(capsys, monkeypatch, tmp_pat
     bad.write_text("*Edges\n1 2\n")
     code, out, err = run_cli(capsys, "ablate", KARATE, str(bad))
     assert (code, out) == (2, "")
+    # k = n - 1 leaves one node, whose density is undefined
+    code, out, err = run_cli(capsys, "ablate", KARATE, "--k", "33")
+    assert (code, out) == (4, "")
+    assert err == f"tricent: {KARATE}: k=33 leaves 1 of 34 nodes; residual density needs 2\n"
+    code, out, err = run_cli(capsys, "ablate", TOY, KARATE, "--k", "11")
+    assert (code, out) == (4, "")
+    assert err == f"tricent: {TOY}: k=11 leaves 1 of 12 nodes; residual density needs 2\n"
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "command, code, err",
+    [
+        ("rank", 4, "tricent: measure needs a nonempty graph\n"),
+        ("compare", 4, "tricent: comparison_table needs a nonempty graph\n"),
+        ("ablate", 4, "tricent: {path}: k=5 must be smaller than the node count 0\n"),
+        ("info", 0, ""),
+    ],
+)
+def test_zero_vertex_pajek(tmp_path, capsys, command, code, err):
+    # a `*Vertices 0` file parses; only info has anything to report on it
+    empty = tmp_path / "empty.net"
+    empty.write_text("*Vertices 0\n")
+    got = run_cli(capsys, command, str(empty))
+    expected_out = "nodes,edges,density,triangles\n0,0,undefined,0\n" if code == 0 else ""
+    assert got == (code, expected_out, err.format(path=empty))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

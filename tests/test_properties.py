@@ -1,0 +1,91 @@
+"""Hypothesis property tests; skipped when hypothesis is not installed."""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from tricent import (  # noqa: E402
+    Graph,
+    Measure,
+    ScoreVector,
+    pagerank,
+    rank_top_k,
+    sdeg,
+    triangle_neighbors,
+    triangles_at,
+)
+
+from conftest import random_graph  # noqa: E402
+
+# ----------------------------------------------------------------------- graph
+
+
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=40))
+def test_adjacency_always_symmetric(pairs):
+    g = Graph(pairs)
+    for u in g.nodes:
+        for v in g.neighbors(u):
+            assert u in g.neighbors(v)
+            assert u != v
+
+
+@given(st.integers(2, 18), st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_gamma_members_subset_of_neighbors(n, p):
+    g = random_graph(random.Random(int(p * 1e6) + n), n, p)
+    for v in g.nodes:
+        assert triangle_neighbors(g, v) <= g.neighbors(v)
+
+
+# -------------------------------------------------------------------- measures
+
+
+@given(st.integers(2, 16), st.floats(0.0, 1.0), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_sdeg_never_exceeds_degree(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    for v in g.nodes:
+        assert sdeg(g, v) <= g.degree(v)
+
+
+@given(st.integers(3, 14), st.floats(0.0, 1.0), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_triangle_sum_identity(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    triple_count = sum(
+        1
+        for a, b, c in combinations(sorted(g.nodes), 3)
+        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+    )
+    assert sum(triangles_at(g, v) for v in g.nodes) == 3 * triple_count
+
+
+@given(st.integers(2, 12), st.floats(0.1, 0.9), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_pagerank_always_sums_to_one(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    scores = pagerank(g)
+    assert sum(scores[v] for v in g.nodes) == pytest.approx(1.0, abs=1e-8)
+
+
+# ----------------------------------------------------------------- experiments
+
+
+@given(
+    st.dictionaries(st.integers(1, 30), st.integers(-5000, 5000), min_size=1, max_size=30),
+    st.integers(1, 10),
+    st.floats(min_value=0.001, max_value=1000.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_rank_top_k_positive_rescaling_invariant(raw, k, scale):
+    # scores on a coarse grid so rescaling cannot create new float ties
+    scores = ScoreVector(Measure.TC, {v: x / 16.0 for v, x in raw.items()})
+    scaled = ScoreVector(Measure.TC, {v: scale * x / 16.0 for v, x in raw.items()})
+    assert rank_top_k(scores, k) == rank_top_k(scaled, k)
