@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from .graph import Graph, NodeId, _density
-from .measures import Measure, ScoreVector, compute
+from .measures import Measure, ScoreVector, _require_nonempty, compute
 
 # Column order used by every comparison table and removal report.
 COMPARISON_MEASURES: Tuple[Measure, ...] = (
@@ -107,8 +107,7 @@ def comparison_table(
     max_iter: int = 1000,
 ) -> RankingTable:
     """Side-by-side top-k rankings, one column per measure in ``measures``."""
-    if g.node_count == 0:
-        raise ValueError("comparison_table needs a nonempty graph")
+    _require_nonempty(g)
     columns = []
     for measure in measures:
         scores = compute(g, measure, damping=damping, tol=tol, max_iter=max_iter)

@@ -6,7 +6,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -113,6 +113,59 @@ def degree_centrality(g: Graph) -> ScoreVector:
     return _scores(Measure.DC, g, np.diff(g._adj.indptr))
 
 
+# Distance cells per block of sources, each block a (width, n) array; shared
+# by closeness and betweenness, which both start from these distances.
+_DISTANCE_CELLS = 1 << 16
+
+# Deepest BFS, in levels, for which betweenness runs a block of sources as
+# sparse x dense products. A product costs about 1-1.5 ns per source and
+# (n + nnz) entry, one per level and sweep, against 55-85 ns per source and
+# entry for a whole BFS in Python, so the products win up to about 50 levels;
+# deeper blocks run Brandes per source.
+_BETWEENNESS_DEPTH = 32
+
+
+def _distance_blocks(g: Graph, limit: float = math.inf) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Source rows in blocks, each with its (width, n) unweighted distances.
+
+    Nodes unreachable or farther than ``limit`` (where the search stops) are at inf.
+    """
+    from scipy.sparse import csgraph  # not at module level: it slows `import tricent`
+    n = g.node_count
+    width = max(1, _DISTANCE_CELLS // n)
+    for rows in np.split(np.arange(n), range(width, n, width)):
+        yield rows, csgraph.dijkstra(g._adj, unweighted=True, indices=rows, limit=limit)
+
+
+def _brandes_source(s: int, nbrs: List[List[int]], acc: List[float]) -> None:
+    """Add source s's dependencies to acc: one BFS and its back-propagation."""
+    n = len(nbrs)
+    stack: list[int] = []
+    pred: list[list[int]] = [[] for _ in range(n)]
+    sigma = [0] * n
+    sigma[s] = 1
+    dist = [-1] * n
+    dist[s] = 0
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        stack.append(v)
+        for w in nbrs[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+            if dist[w] == dist[v] + 1:
+                sigma[w] += sigma[v]
+                pred[w].append(v)
+    delta = [0.0] * n
+    while stack:
+        w = stack.pop()
+        for v in pred[w]:
+            delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+        if w != s:
+            acc[w] += delta[w]
+
+
 def betweenness_centrality(g: Graph, normalized: bool = True) -> ScoreVector:
     """Shortest-path betweenness over unordered node pairs (Brandes).
 
@@ -120,44 +173,44 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> ScoreVector:
     shortest s-t paths passing through it. With ``normalized`` the sum is
     scaled by 2/((n-1)(n-2)) for n >= 3, which never changes rank order;
     ``normalized=False`` returns the raw pair fractions.
+
+    Sources run in blocks. A block whose BFS is at most ``_BETWEENNESS_DEPTH``
+    levels deep counts shortest paths (sigma) and back-propagates
+    dependencies (delta) level by level, as products of the adjacency with
+    (n, width) arrays; a deeper block runs Brandes' BFS per source.
     """
     _require_nonempty(g)
     n = g.node_count
-    indptr, indices = g._adj.indptr.tolist(), g._adj.indices.tolist()
-    nbrs = [indices[indptr[k] : indptr[k + 1]] for k in range(n)]
-    acc = [0.0] * n
-    for s in range(n):
-        stack: list[int] = []
-        pred: list[list[int]] = [[] for _ in range(n)]
-        sigma = [0] * n
-        sigma[s] = 1
-        dist = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in nbrs[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    pred[w].append(v)
-        delta = [0.0] * n
-        while stack:
-            w = stack.pop()
-            for v in pred[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                acc[w] += delta[w]
+    a = g._adj
+    acc = np.zeros(n)
+    nbrs = None
+    # the search stops one level past the rule: a block that gets there is
+    # deep, and every other block's distances are complete
+    for rows, dist in _distance_blocks(g, limit=_BETWEENNESS_DEPTH + 1):
+        dist = np.ascontiguousarray(dist.T)  # (n, width): one column per source
+        top = int(dist.max(initial=0.0, where=np.isfinite(dist)))
+        if top > _BETWEENNESS_DEPTH:
+            if nbrs is None:
+                indptr, indices = a.indptr.tolist(), a.indices.tolist()
+                nbrs = [indices[indptr[k] : indptr[k + 1]] for k in range(n)]
+            part = [0.0] * n
+            for s in rows.tolist():
+                _brandes_source(s, nbrs, part)
+            acc += part
+            continue
+        sigma = (dist == 0).astype(float)
+        for d in range(1, top + 1):
+            level = dist == d
+            sigma[level] = (a @ np.where(dist == d - 1, sigma, 0.0))[level]
+        delta = np.zeros_like(sigma)
+        for d in range(top - 1, 0, -1):
+            level = dist == d
+            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == d + 1)
+            delta[level] = (a @ share)[level] * sigma[level]
+        acc += delta.sum(axis=1)
     # every unordered pair was accumulated from both endpoints
     scale = 1.0 / ((n - 1) * (n - 2)) if normalized and n >= 3 else 0.5
-    return _scores(Measure.BC, g, np.array(acc) * scale)
-
-
-# Distance cells per block of closeness sources, each block a (width, n) array.
-_CLOSENESS_CELLS = 1 << 16
+    return _scores(Measure.BC, g, acc * scale)
 
 
 def closeness_centrality(g: Graph) -> ScoreVector:
@@ -169,12 +222,9 @@ def closeness_centrality(g: Graph) -> ScoreVector:
     from scipy's unweighted shortest paths over blocks of sources.
     """
     _require_nonempty(g)
-    from scipy.sparse import csgraph  # not at module level: it slows `import tricent`
     n = g.node_count
-    width = max(1, _CLOSENESS_CELLS // n)
     out = []
-    for rows in np.split(np.arange(n), range(width, n, width)):
-        dist = csgraph.shortest_path(g._adj, unweighted=True, indices=rows)
+    for _, dist in _distance_blocks(g):
         reached = np.isfinite(dist).sum(axis=1) - 1
         total = np.nan_to_num(dist, posinf=0.0).sum(axis=1)
         # a node that reaches nothing has reached = total = 0 and scores 0.0

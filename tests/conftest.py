@@ -78,6 +78,29 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.3) -> Gr
     return Graph(edges, nodes=range(1, n + 1))
 
 
+def triad_rich(rng: random.Random, labels, m: int):
+    """Preferential attachment with triad closure (Holme–Kim style)."""
+    adj: dict = {}
+    ends: list = []  # one entry per edge end: a degree-weighted draw
+    edges = []
+    for v in labels:
+        targets: list = []
+        while len(targets) < min(m, len(adj)):
+            if targets and rng.random() < 0.6 and adj[targets[-1]]:
+                u = rng.choice(sorted(adj[targets[-1]]))  # close a triangle
+            else:
+                u = rng.choice(ends or sorted(adj))
+            if u not in targets:
+                targets.append(u)
+        adj[v] = set()
+        for u in targets:
+            adj[u].add(v)
+            adj[v].add(u)
+            edges.append((u, v))
+            ends += [u, v]
+    return edges
+
+
 def dataset_or_none(name: str) -> Optional[Graph]:
     """Load data/<name> when present; None when the file is absent."""
     path = DATA_DIR / name

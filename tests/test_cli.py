@@ -242,7 +242,7 @@ def test_ablate_checks_every_input_before_computing(capsys, monkeypatch, tmp_pat
     "command, code, err",
     [
         ("rank", 4, "tricent: measure needs a nonempty graph\n"),
-        ("compare", 4, "tricent: comparison_table needs a nonempty graph\n"),
+        ("compare", 4, "tricent: measure needs a nonempty graph\n"),
         ("ablate", 4, "tricent: {path}: k=5 must be smaller than the node count 0\n"),
         ("info", 0, ""),
     ],

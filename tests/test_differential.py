@@ -27,34 +27,13 @@ from tricent import (
     triangles_at,
 )
 
+from conftest import triad_rich
+
 nx = pytest.importorskip("networkx")
 
 
 def _gnp(rng: random.Random, labels, p: float):
     return [(u, v) for u, v in combinations(labels, 2) if rng.random() < p]
-
-
-def _triad_rich(rng: random.Random, labels, m: int):
-    """Preferential attachment with triad closure (Holme–Kim style)."""
-    adj: dict = {}
-    ends: list = []  # one entry per edge end: a degree-weighted draw
-    edges = []
-    for v in labels:
-        targets: list = []
-        while len(targets) < min(m, len(adj)):
-            if targets and rng.random() < 0.6 and adj[targets[-1]]:
-                u = rng.choice(sorted(adj[targets[-1]]))  # close a triangle
-            else:
-                u = rng.choice(ends or sorted(adj))
-            if u not in targets:
-                targets.append(u)
-        adj[v] = set()
-        for u in targets:
-            adj[u].add(v)
-            adj[v].add(u)
-            edges.append((u, v))
-            ends += [u, v]
-    return edges
 
 
 SIZES = (300, 7, 120, 2, 200, 25, 60, 1, 300, 3, 150, 40, 250, 12, 80, 300)
@@ -77,14 +56,37 @@ def make_graph(seed: int) -> Graph:
         return Graph(_gnp(rng, labels, 1.2 / max(n, 1)), nodes=labels)
     if kind == 2:
         core = labels[: max(1, n - n // 10)]
-        return Graph(_triad_rich(rng, core, 3), nodes=labels)
+        return Graph(triad_rich(rng, core, 3), nodes=labels)
     half = n // 2
     left = [3 * v for v in labels[:half]]
     right = [3 * v + 1 for v in labels[half:]]
-    return Graph(_gnp(rng, left, 0.3) + _triad_rich(rng, right, 2), nodes=left + right)
+    return Graph(_gnp(rng, left, 0.3) + triad_rich(rng, right, 2), nodes=left + right)
 
 
 SEEDS = range(16)
+
+
+def _grid(side: int) -> Graph:
+    return Graph(
+        [(side * r + c, side * r + c + 1) for r in range(side) for c in range(side - 1)]
+        + [(side * r + c, side * (r + 1) + c) for r in range(side - 1) for c in range(side)]
+    )
+
+
+# Shapes whose BFS runs deeper than the 32 levels up to which BC works in
+# sparse x dense products, so that its per-source branch is checked too (no
+# seeded graph gets that deep), plus a shallow grid for the products.
+SHAPES = {
+    "path-150": lambda: Graph([(v, v + 1) for v in range(149)]),
+    "ring-120": lambda: Graph([(v, (v + 1) % 120) for v in range(120)]),
+    "grid-20x20": lambda: _grid(20),  # depth 38
+    "grid-8x8": lambda: _grid(8),  # depth 14
+}
+CASES = [*SEEDS, *SHAPES]
+
+
+def case_graph(case) -> Graph:
+    return SHAPES[case]() if case in SHAPES else make_graph(case)
 
 
 def to_nx(g: Graph):
@@ -94,9 +96,9 @@ def to_nx(g: Graph):
     return h
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_triangles_degree_closeness_exact(seed):
-    g = make_graph(seed)
+@pytest.mark.parametrize("case", CASES)
+def test_triangles_degree_closeness_exact(case):
+    g = case_graph(case)
     h = to_nx(g)
     tr = triangle_count_centrality(g)
     dc = degree_centrality(g)
@@ -106,9 +108,9 @@ def test_triangles_degree_closeness_exact(seed):
     assert {v: cnc[v] for v in g.nodes} == nx.closeness_centrality(h, wf_improved=True)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_betweenness_matches_networkx(seed):
-    g = make_graph(seed)
+@pytest.mark.parametrize("case", CASES)
+def test_betweenness_matches_networkx(case):
+    g = case_graph(case)
     bc = betweenness_centrality(g)
     ref = nx.betweenness_centrality(to_nx(g))
     assert max(abs(bc[v] - ref[v]) for v in g.nodes) <= 1e-12

@@ -28,7 +28,7 @@ from tricent import (
     triangles_at,
 )
 
-from conftest import random_graph
+from conftest import random_graph, triad_rich
 from oracles import oracle_closeness
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -150,6 +150,72 @@ def test_betweenness_disconnected_pairs_ignored():
     assert all(scores[v] == 0.0 for v in g.nodes)
 
 
+@pytest.fixture(scope="module")
+def betweenness_graphs(karate):
+    files = ["toy.edges", "hk-332.net", "wide-labels.edges"]
+    split = Graph([(1, 2), (2, 3), (1, 3), (5, 6)], nodes=[4, 7])  # isolated 4 and 7
+    ring = Graph([(v, (v + 1) % 200) for v in range(200)])
+    # 60 diamonds in a row: 2^60 shortest paths end to end, 120 BFS levels
+    diamonds = Graph(
+        [(3 * i, 3 * i + j) for i in range(60) for j in (1, 2)]
+        + [(3 * i + j, 3 * i + 3) for i in range(60) for j in (1, 2)]
+    )
+    # a 100-node path beside a dense Holme-Kim part: deep and shallow blocks in one call
+    mixed = Graph(
+        [(v, v + 1) for v in range(99)] + triad_rich(random.Random(5), range(100, 220), 6)
+    )
+    graphs = [karate, *(load_graph(GOLDEN / name) for name in files), split, ring, diamonds, mixed]
+    return dict(zip(["karate", *files, "split", "ring", "diamonds", "mixed"], graphs))
+
+
+def _betweenness_at(monkeypatch, g, width, depth):
+    from tricent import measures
+
+    cells = g.node_count * (g.node_count if width == "n" else width)
+    monkeypatch.setattr(measures, "_DISTANCE_CELLS", cells)
+    monkeypatch.setattr(measures, "_BETWEENNESS_DEPTH", depth)
+    return betweenness_centrality(g).scores
+
+
+@pytest.mark.parametrize("width", [1, 7, "n"])
+def test_betweenness_branches_agree_at_every_block_width(monkeypatch, betweenness_graphs, width):
+    # depth -1 sends every block to per-source Brandes, 10**9 every block to
+    # the sparse x dense sweeps; they differ only in rounding
+    from tricent import measures
+
+    default = measures._BETWEENNESS_DEPTH
+    for name, g in betweenness_graphs.items():
+        per_source = _betweenness_at(monkeypatch, g, width, -1)
+        for depth in (10**9, default):
+            got = _betweenness_at(monkeypatch, g, width, depth)
+            assert all(abs(got[v] - want) <= 1e-12 * want for v, want in per_source.items()), (
+                name,
+                depth,
+            )
+
+
+@pytest.mark.parametrize(
+    "name, width, calls",
+    # on "mixed", the 15 blocks of 7 that hold a path node (rows 0-99) are deep
+    [("hk-332.net", "n", 0), ("ring", "n", 200), ("mixed", 7, 105)],
+)
+def test_betweenness_runs_per_source_brandes_only_for_deep_blocks(
+    monkeypatch, betweenness_graphs, name, width, calls
+):
+    from tricent import measures
+
+    sources = []
+    real = measures._brandes_source
+
+    def spy(s, *rest):
+        sources.append(s)
+        real(s, *rest)
+
+    monkeypatch.setattr(measures, "_brandes_source", spy)
+    _betweenness_at(monkeypatch, betweenness_graphs[name], width, measures._BETWEENNESS_DEPTH)
+    assert len(sources) == calls
+
+
 # ------------------------------------------------------------------- closeness
 
 
@@ -190,7 +256,7 @@ def test_closeness_matches_oracle_at_every_block_width(monkeypatch, closeness_ca
 
     for g, expected in closeness_cases:
         cells = g.node_count * (g.node_count if width == "n" else width)
-        monkeypatch.setattr(measures, "_CLOSENESS_CELLS", cells)
+        monkeypatch.setattr(measures, "_DISTANCE_CELLS", cells)
         assert closeness_centrality(g).scores == expected
 
 
