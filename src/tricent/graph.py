@@ -83,12 +83,16 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
 
+    def _rows(self, labels: Iterable[NodeId]) -> np.ndarray:
+        """Sorted distinct rows of ``labels``; UnknownNodeError names a missing one."""
+        try:
+            return np.unique(np.fromiter(map(self._index.__getitem__, labels), np.intp))
+        except KeyError as err:
+            raise UnknownNodeError(err.args[0]) from None
+
     def neighbors(self, i: NodeId) -> frozenset[NodeId]:
         """Adjacency set of ``i``; never contains ``i`` itself. Built on each call."""
-        try:
-            k = self._index[i]
-        except KeyError:
-            raise UnknownNodeError(i) from None
+        (k,) = self._rows((i,))
         row = self._adj.indices[self._adj.indptr[k] : self._adj.indptr[k + 1]]
         return frozenset(map(self._labels.__getitem__, row.tolist()))
 
@@ -100,27 +104,24 @@ class Graph:
 
     def edges(self) -> Iterator[Tuple[NodeId, NodeId]]:
         """All edges as (u, v) pairs with u < v, in sorted order."""
-        for u in self._index:
-            for v in sorted(self.neighbors(u)):
-                if u < v:
-                    yield (u, v)
+        upper = sparse.triu(self._adj, k=1, format="coo")
+        label = self._labels.__getitem__
+        return zip(map(label, upper.row.tolist()), map(label, upper.col.tolist()))
 
     def induced_subgraph(self, keep: Iterable[NodeId]) -> "Graph":
         """Subgraph on ``keep``: those nodes plus every edge between them."""
-        keep_set = frozenset(keep)
-        for v in keep_set:
-            if v not in self._index:
-                raise UnknownNodeError(v)
-        inside = [(u, v) for u, v in self.edges() if u in keep_set and v in keep_set]
-        return Graph(inside, nodes=keep_set)
+        rows = self._rows(keep)
+        sub = Graph.__new__(Graph)
+        sub._labels = list(map(self._labels.__getitem__, rows.tolist()))
+        sub._index = {v: k for k, v in enumerate(sub._labels)}
+        sub._adj = self._adj[rows][:, rows]  # rows ascend, so columns stay sorted
+        return sub
 
     def remove_nodes(self, victims: Iterable[NodeId]) -> "Graph":
         """Graph with ``victims`` (and their incident edges) deleted."""
-        victim_set = frozenset(victims)
-        for v in victim_set:
-            if v not in self._index:
-                raise UnknownNodeError(v)
-        return self.induced_subgraph(self._index.keys() - victim_set)
+        keep = np.ones(len(self._labels), bool)
+        keep[self._rows(victims)] = False
+        return self.induced_subgraph(map(self._labels.__getitem__, np.flatnonzero(keep).tolist()))
 
 
 def triangle_neighbors(g: Graph, i: NodeId) -> frozenset[NodeId]:
@@ -187,22 +188,28 @@ def parse_edgelist(text: str) -> Graph:
     """
     pairs: list[Tuple[NodeId, NodeId]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        body = raw.split("#", 1)[0]
+        parts = body.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) < 2:
-            raise ParseError(f"expected 'u v', got {line!r}", lineno)
+            raise ParseError(f"expected 'u v', got {body.strip()!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            pairs.append((int(parts[0]), int(parts[1])))
         except ValueError:
-            raise ParseError(f"non-integer endpoint in {line!r}", lineno) from None
-        pairs.append((u, v))
+            raise ParseError(f"non-integer endpoint in {body.strip()!r}", lineno) from None
     return Graph(pairs)
 
 
-_PAIR_SECTIONS = {"*edges", "*arcs"}
-_LIST_SECTIONS = {"*edgeslist", "*arcslist"}
+# Pajek section keyword -> what its body lines hold; *Network only names the file
+_SECTIONS = {
+    "*network": None, "*vertices": "vertex", "*edges": "pair", "*arcs": "pair",
+    "*edgeslist": "list", "*arcslist": "list",
+}
+
+# Largest *Vertices count accepted: every declared vertex costs about 170
+# bytes of peak memory even when isolated, so this allows about 1.7 GB.
+_MAX_VERTICES = 10**7
 
 
 def parse_pajek(text: str) -> Graph:
@@ -214,7 +221,8 @@ def parse_pajek(text: str) -> Graph:
     leading ``*Network`` line is ignored. Arcs are merged undirected, edge
     weights are ignored, duplicates collapse, self-loops are dropped, and all
     n declared vertices are kept even when isolated. Vertex ids are the
-    file's 1-based integers; ids outside 1..n raise :class:`ParseError`.
+    file's 1-based integers; ids outside 1..n, and n above ``_MAX_VERTICES``,
+    raise :class:`ParseError`.
     """
     n_declared: int | None = None
     pairs: list[Tuple[NodeId, NodeId]] = []
@@ -232,52 +240,44 @@ def parse_pajek(text: str) -> Graph:
 
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "%":
             continue
-        if line.startswith("*"):
-            parts = line.split()
+        if parts[0][0] == "*":
             key = parts[0].lower()
-            if key == "*network":
-                continue
+            if key not in _SECTIONS:
+                raise ParseError(f"unsupported section {parts[0]!r}", lineno)
             if key == "*vertices":
                 if n_declared is not None:
                     raise ParseError("duplicate *Vertices header", lineno)
                 try:
                     n_declared = int(parts[1])
                 except (IndexError, ValueError):
-                    raise ParseError(f"malformed header {line!r}", lineno) from None
+                    raise ParseError(f"malformed header {raw.strip()!r}", lineno) from None
                 if n_declared < 0:
                     raise ParseError("negative vertex count", lineno)
-                section = "vertices"
-            elif key in _PAIR_SECTIONS or key in _LIST_SECTIONS:
-                if n_declared is None:
-                    raise ParseError(f"{parts[0]} before *Vertices", lineno)
-                section = "pairs" if key in _PAIR_SECTIONS else "lists"
-            else:
-                raise ParseError(f"unsupported section {parts[0]!r}", lineno)
-            continue
-        if section == "vertices":
-            check_id(line.split()[0], lineno)
-        elif section == "pairs":
-            parts = line.split()
+                if n_declared > _MAX_VERTICES:
+                    raise ParseError(f"vertex count above the limit of {_MAX_VERTICES}", lineno)
+            elif _SECTIONS[key] and n_declared is None:
+                raise ParseError(f"{parts[0]} before *Vertices", lineno)
+            section = _SECTIONS[key] or section
+        elif section == "vertex":
+            check_id(parts[0], lineno)
+        elif section == "pair":
             if len(parts) < 2:
-                raise ParseError(f"expected 'u v [weight]', got {line!r}", lineno)
-            u = check_id(parts[0], lineno)
-            v = check_id(parts[1], lineno)
+                raise ParseError(f"expected 'u v [weight]', got {raw.strip()!r}", lineno)
+            u, v = check_id(parts[0], lineno), check_id(parts[1], lineno)
             if len(parts) >= 3:
                 try:
                     float(parts[2])  # weight: validated, then ignored
                 except ValueError:
                     raise ParseError(f"non-numeric weight {parts[2]!r}", lineno) from None
             pairs.append((u, v))
-        elif section == "lists":
-            parts = line.split()
+        elif section == "list":
             u = check_id(parts[0], lineno)
-            for token in parts[1:]:
-                pairs.append((u, check_id(token, lineno)))
+            pairs.extend((u, check_id(token, lineno)) for token in parts[1:])
         else:
-            raise ParseError(f"content before any section header: {line!r}", lineno)
+            raise ParseError(f"content before any section header: {raw.strip()!r}", lineno)
 
     if n_declared is None:
         raise ParseError("missing *Vertices header", lineno or 1)

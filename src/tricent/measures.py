@@ -308,18 +308,15 @@ def compute(
     Deterministic for fixed inputs.
     """
     measure = Measure(measure)
-    if measure is Measure.TC:
-        return tr_centrality(g)
-    if measure is Measure.TR:
-        return triangle_count_centrality(g)
-    if measure is Measure.DC:
-        return degree_centrality(g)
-    if measure is Measure.BC:
-        return betweenness_centrality(g)
-    if measure is Measure.CNC:
-        return closeness_centrality(g)
     if measure is Measure.EC:
         return eigenvector_centrality(g, tol=tol, max_iter=max_iter)
     if measure is Measure.PR:
         return pagerank(g, damping=damping, tol=tol, max_iter=max_iter)
-    return sdeg_centrality(g)
+    return _PARAMETERLESS[measure](g)
+
+
+_PARAMETERLESS = {
+    Measure.TC: tr_centrality, Measure.TR: triangle_count_centrality,
+    Measure.DC: degree_centrality, Measure.BC: betweenness_centrality,
+    Measure.CNC: closeness_centrality, Measure.SDEG: sdeg_centrality,
+}

@@ -183,6 +183,16 @@ def test_malformed_pajek_exits_2(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_vertex_count_above_limit_exits_2(tmp_path, capsys, monkeypatch):
+    from tricent import graph
+
+    monkeypatch.setattr(graph, "_MAX_VERTICES", 5)
+    big = tmp_path / "big.net"
+    big.write_text("*Vertices 6\n")
+    got = run_cli(capsys, "info", str(big))
+    assert got == (2, "", "tricent: parse error: line 1: vertex count above the limit of 5\n")
+
+
 def test_non_utf8_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.net"
     bad.write_bytes(b"\xff\xfe*Vertices 2\n")

@@ -149,3 +149,47 @@ def test_tc_and_sdeg_match_per_node_primitives(seed):
         gamma = len(triangle_neighbors(g, v))
         assert sd[v] == float(gamma)
         assert tc[v] == 0.01 * (3 * gamma + triangles_at(g, v) - 2)
+
+
+def _deep_beside_shallow(seed, ring: bool, length: int, size: int, m: int, bridges: int) -> Graph:
+    """A path or ring of ``length`` nodes, deeper than BC's 32-level product
+    sweeps go, beside a Holme–Kim part of ``size`` nodes, joined to it by
+    ``bridges`` edges, under shuffled labels."""
+    rng = random.Random(seed)
+    line = [(v, (v + 1) % length) for v in range(length if ring else length - 1)]
+    part = triad_rich(rng, range(length, length + size), m)
+    links = [(rng.randrange(length), rng.randrange(length, length + size)) for _ in range(bridges)]
+    labels = rng.sample(range(-1000, 1000), length + size)
+    return Graph([(labels[u], labels[v]) for u, v in line + part + links])
+
+
+def test_bc_and_cnc_on_random_deep_and_shallow_graphs(monkeypatch):
+    # sources in the Holme-Kim part of an unbridged graph run in products at
+    # width 1; every block holding a path or ring node runs per source
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from tricent import measures
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.booleans(),
+        st.integers(70, 120),
+        st.integers(10, 60),
+        st.integers(2, 4),
+        st.integers(0, 2),
+    )
+    def check(seed, ring, length, size, m, bridges):
+        g = _deep_beside_shallow(seed, ring, length, size, m, bridges)
+        h = to_nx(g)
+        bc_ref = nx.betweenness_centrality(h)
+        cnc_ref = nx.closeness_centrality(h, wf_improved=True)
+        for width in (1, 7, g.node_count):
+            monkeypatch.setattr(measures, "_DISTANCE_CELLS", width * g.node_count)
+            bc = betweenness_centrality(g)
+            assert max(abs(bc[v] - bc_ref[v]) for v in g.nodes) <= 1e-12
+            assert closeness_centrality(g).scores == cnc_ref
+
+    check()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ from tricent import (
     triangles_at,
 )
 
-from conftest import random_graph
+from conftest import KARATE_EDGES, random_graph
 
 
 # ---------------------------------------------------------------- Graph basics
@@ -277,3 +278,102 @@ def test_load_graph_karate_file(karate):
     from conftest import DATA_DIR
 
     assert load_graph(DATA_DIR / "karate.net") == karate
+
+
+# Every message the two readers raise, with its exact text and line.
+READER_ERRORS = [
+    (parse_pajek, "*Vertices 2\n*Matrix\n0 1\n1 0\n", 2, "unsupported section '*Matrix'"),
+    (parse_pajek, "*Vertices 2\n*Vertices 2\n", 2, "duplicate *Vertices header"),
+    (parse_pajek, "*Vertices\n", 1, "malformed header '*Vertices'"),
+    (parse_pajek, "  *vertices  x \n", 1, "malformed header '*vertices  x'"),
+    (parse_pajek, "*Vertices -1\n", 1, "negative vertex count"),
+    (parse_pajek, "% c\n*edges\n1 2\n", 2, "*edges before *Vertices"),
+    (parse_pajek, '*Vertices 2\nx "a"\n', 2, "non-numeric vertex id 'x'"),
+    (parse_pajek, "*Vertices 2\n*Edges\n1 y\n", 3, "non-numeric vertex id 'y'"),
+    (parse_pajek, "*Vertices 2\n*Edgeslist\n1 2 z\n", 3, "non-numeric vertex id 'z'"),
+    (parse_pajek, "*Vertices 2\n*Arcs\n1 5\n", 3, "vertex id 5 outside 1..2"),
+    (parse_pajek, "*Vertices 2\n*Arcslist\n0 1\n", 3, "vertex id 0 outside 1..2"),
+    (parse_pajek, "*Vertices 2\n*Edges\n\t1  \n", 3, "expected 'u v [weight]', got '1'"),
+    (parse_pajek, "*Vertices 2\n*Edges\n1 2 heavy\n", 3, "non-numeric weight 'heavy'"),
+    (parse_pajek, " 1  2 \n", 1, "content before any section header: '1  2'"),
+    (parse_pajek, "", 1, "missing *Vertices header"),
+    (parse_pajek, "*Network test\n% no vertices\n\n", 3, "missing *Vertices header"),
+    (parse_edgelist, "1 2\n3  # lonely\n", 2, "expected 'u v', got '3'"),
+    (parse_edgelist, "# c\n 1 two  # x\n", 2, "non-integer endpoint in '1 two'"),
+]
+
+
+@pytest.mark.parametrize("reader, text, line, message", READER_ERRORS)
+def test_reader_error_text_and_line(reader, text, line, message):
+    with pytest.raises(ParseError) as err:
+        reader(text)
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+
+def test_parse_pajek_rejects_vertex_count_above_limit(monkeypatch):
+    # a short header must not be able to ask for unbounded memory
+    from tricent import graph
+
+    monkeypatch.setattr(graph, "_MAX_VERTICES", 5)
+    assert parse_pajek("*Vertices 5\n").node_count == 5
+    with pytest.raises(ParseError) as err:
+        parse_pajek("% big\n*Vertices 6\n")
+    assert (str(err.value), err.value.line) == ("line 2: vertex count above the limit of 5", 2)
+
+
+# ------------------------------------------------------------------- subgraphs
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SUBGRAPH_CASES = {
+    "karate": lambda: Graph(KARATE_EDGES),
+    "hk-332": lambda: load_graph(GOLDEN / "hk-332.net"),
+    "wide-labels": lambda: load_graph(GOLDEN / "wide-labels.edges"),
+    "isolated": lambda: Graph([(1, 2), (2, 3), (5, 9)], nodes=[0, 1, 2, 3, 4, 5, 9, 12]),
+}
+
+
+
+
+def _rebuild(g: Graph, keep) -> Graph:
+    keep = set(keep)
+    return Graph([(u, v) for u, v in g.edges() if u in keep and v in keep], nodes=keep)
+
+
+def _assert_well_formed(h: Graph):
+    edges = list(h.edges())
+    assert edges == sorted(edges)
+    assert h._adj.has_sorted_indices
+    assert set(h._adj.data.tolist()) <= {1.0}
+
+
+@pytest.mark.parametrize("name", SUBGRAPH_CASES)
+def test_subgraphs_equal_a_rebuild_from_filtered_edges(name):
+    g = SUBGRAPH_CASES[name]()
+    nodes = list(g.nodes)
+    rng = random.Random(name)
+    for size in (0, 1, len(nodes) // 3, len(nodes) - 1, len(nodes)):
+        chosen = rng.sample(nodes, size)
+        sub = g.induced_subgraph(chosen + chosen[:2])  # duplicates collapse
+        assert sub == _rebuild(g, chosen)
+        assert list(sub.nodes) == sorted(chosen)
+        _assert_well_formed(sub)
+        rest = g.remove_nodes(iter(chosen))
+        assert rest == _rebuild(g, set(nodes) - set(chosen))
+        assert list(rest.nodes) == sorted(set(nodes) - set(chosen))
+        _assert_well_formed(rest)
+
+
+@pytest.mark.parametrize("name", SUBGRAPH_CASES)
+def test_one_missing_label_is_named(name):
+    g = SUBGRAPH_CASES[name]()
+    missing = max(g.nodes) + 1
+    some = list(g.nodes)[:3]
+    for call in (
+        lambda: g.neighbors(missing),
+        lambda: g.induced_subgraph([*some, missing]),
+        lambda: g.remove_nodes([missing, *some]),
+    ):
+        with pytest.raises(UnknownNodeError) as err:
+            call()
+        assert err.value.node == missing
