@@ -20,7 +20,6 @@ from .experiments import (
     EXPERIMENT_DAMPING,
     _check_k,
     comparison_table,
-    plot_series,
     random_removal_density,
     rank_top_k,
     removal_impact,
@@ -222,11 +221,11 @@ def cmd_ablate(args: argparse.Namespace) -> str:
         g = load_graph(path, fmt=args.input_format)
         _check_k(g, args.k, f"{path}: ")
         graphs.append(g)
-    reports = []
     rows: List[list] = []
+    plot_rows: List[list] = []  # one density-by-measure row per network
     for path, g in zip(args.inputs, graphs):
         report = removal_impact(g, _name(path), args.k, args.measures, **_solver(args))
-        reports.append(report)
+        plot_rows.append([report.graph_name] + [round(report.rows[m], 4) for m in args.measures])
         for m in args.measures:
             removed = list(report.removed[m])
             rows.append([report.graph_name, m.value, round(report.rows[m], 4), removed])
@@ -234,16 +233,7 @@ def cmd_ablate(args: argparse.Namespace) -> str:
             baseline = random_removal_density(g, args.k, trials=100, seed=args.seed)
             rows.append([report.graph_name, "RAND", round(baseline, 4), []])
 
-    plot = None
-    if args.plot_series:
-        series = plot_series(reports)
-        plot = (
-            ["network"] + tags,
-            [
-                [name] + [round(series.series[m][i], 4) for m in args.measures]
-                for i, name in enumerate(series.names)
-            ],
-        )
+    plot = (["network"] + tags, plot_rows) if args.plot_series else None
     names = [_name(p) for p in args.inputs]
     graph = names[0] if len(names) == 1 else names
     params = {"measures": tags, "k": args.k, **_solver(args), "seed": args.seed}

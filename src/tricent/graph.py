@@ -302,7 +302,7 @@ def load_graph(path: str | Path, fmt: str = "auto") -> Graph:
     path = Path(path)
     if fmt == "auto":
         fmt = "pajek" if path.suffix.lower() == ".net" else "edgelist"
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     if fmt == "pajek":
         return parse_pajek(text)
     if fmt == "edgelist":

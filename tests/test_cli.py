@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tricent
 from tricent.cli import main
 
 from conftest import DATA_DIR
@@ -59,6 +63,19 @@ def test_rank_csv_json_value_agreement(capsys):
         assert float(score) == row["score"]
 
 
+def test_rank_pr_web_damping(capsys):
+    # above a damping of about 0.384 nodes 2 and 3 swap (README's damping note)
+    code, out, err = run_cli(capsys, "rank", KARATE, "--measure", "pr", "--damping", "0.85")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["34", "1", "33", "3", "2"]
+
+
+def test_rank_explicit_tol(capsys):
+    code, out, err = run_cli(capsys, "rank", KARATE, "--measure", "ec", "--tol", "1e-8")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[1] == "34"
+
+
 def test_rank_tsv(capsys):
     code, out, _ = run_cli(capsys, "rank", KARATE, "--k", "2", "--format", "tsv")
     assert code == 0
@@ -86,6 +103,12 @@ def test_compare_measure_subset(capsys):
     lines = out.splitlines()
     assert lines[0] == "TC,BC"
     assert lines[1] == "1,1"
+
+
+def test_compare_empty_tag_is_skipped(capsys):
+    assert run_cli(capsys, "compare", KARATE, "--measures", "TC,,TR") == run_cli(
+        capsys, "compare", KARATE, "--measures", "TC,TR"
+    )
 
 
 def test_compare_json_round_trip(capsys):
@@ -202,6 +225,28 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_input_decoding_ignores_the_locale(tmp_path, capsys):
+    # an ASCII locale with locale coercion and UTF-8 mode both off
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = str(Path(tricent.__file__).resolve().parent.parent)
+    utf8 = tmp_path / "cafe.net"
+    utf8.write_bytes('*Vertices 3\n1 "café"\n2 "b"\n3 "c"\n*Edges\n1 2\n2 3\n'.encode())
+    latin1 = tmp_path / "latin1.net"
+    latin1.write_bytes('*Vertices 1\n1 "café"\n'.encode("latin-1"))
+
+    def run(path):
+        argv = [sys.executable, "-m", "tricent.cli", "info", str(path)]
+        return subprocess.run(
+            argv, env=env, capture_output=True, encoding="utf-8", timeout=60
+        )
+
+    got = run(utf8)
+    assert (got.returncode, got.stdout, got.stderr) == run_cli(capsys, "info", str(utf8))
+    got = run(latin1)
+    assert (got.returncode, got.stdout) == (2, "")
+    assert got.stderr.startswith("tricent: parse error: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_convergence_failure_exits_3(capsys):
     code, out, err = run_cli(capsys, "rank", KARATE, "--measure", "pr", "--max-iter", "1")
     assert code == 3
@@ -289,6 +334,17 @@ def test_bad_usage_exits_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["rank", KARATE, "--measure", "ec", "--tol", tol])
         assert exc.value.code == 2
+    for argv, message in [
+        (["compare", KARATE, "--measures", ","], "empty measure list"),
+        (["rank", KARATE, "--measure", "tc,tr"], "expected a single measure tag"),
+        (["rank", KARATE, "--measure", "tc,tc"], "expected a single measure tag"),
+    ]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 # --------------------------------------------------------------- determinism
