@@ -15,7 +15,6 @@ from tricent import (
     COMPARISON_MEASURES,
     density,
     load_graph,
-    plot_series,
     random_removal_density,
     removal_impact,
 )
@@ -49,10 +48,10 @@ def main() -> None:
             print(f"  {m.value:>4} removed [{removed}] -> density {report.rows[m]:.4f}{marker}")
 
     if reports:
-        series = plot_series(reports)
-        print("density series across networks (x = " + ", ".join(series.names) + "):")
+        names = ", ".join(report.graph_name for report in reports)
+        print(f"density series across networks (x = {names}):")
         for m in COMPARISON_MEASURES:
-            values = "  ".join(f"{v:.4f}" for v in series.series[m])
+            values = "  ".join(f"{report.rows[m]:.4f}" for report in reports)
             print(f"  {m.value:>4}: {values}")
 
 

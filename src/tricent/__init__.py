@@ -16,7 +16,6 @@ from .graph import (
     load_graph,
     parse_edgelist,
     parse_pajek,
-    to_pajek,
     triangle_neighbors,
     triangles_at,
 )
@@ -39,11 +38,9 @@ from .experiments import (
     COMPARISON_MEASURES,
     DEFAULT_SEED,
     EXPERIMENT_DAMPING,
-    PlotSeries,
     RankingTable,
     RemovalReport,
     comparison_table,
-    plot_series,
     random_removal_density,
     rank_top_k,
     removal_impact,
@@ -60,7 +57,6 @@ __all__ = [
     "Measure",
     "NodeId",
     "ParseError",
-    "PlotSeries",
     "RankingTable",
     "RemovalReport",
     "ScoreVector",
@@ -77,13 +73,11 @@ __all__ = [
     "pagerank",
     "parse_edgelist",
     "parse_pajek",
-    "plot_series",
     "random_removal_density",
     "rank_top_k",
     "removal_impact",
     "sdeg",
     "sdeg_centrality",
-    "to_pajek",
     "tr_centrality",
     "triangle_count_centrality",
     "triangle_neighbors",

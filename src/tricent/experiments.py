@@ -54,18 +54,6 @@ class RemovalReport:
     removed: Mapping[Measure, Tuple[NodeId, ...]]
 
 
-@dataclass(frozen=True)
-class PlotSeries:
-    """Per-measure density-by-network series (plot-ready, no rendering)."""
-
-    names: Tuple[str, ...]
-    series: Mapping[Measure, Tuple[float, ...]]
-
-    @property
-    def x(self) -> Tuple[int, ...]:
-        return tuple(range(1, len(self.names) + 1))
-
-
 def _residual_density(g: Graph, removed: Iterable[NodeId]) -> float:
     """``density(g.remove_nodes(removed))`` from edge counts alone.
 
@@ -134,20 +122,6 @@ def removal_impact(
     table = comparison_table(g, name, k, measures, damping=damping, tol=tol, max_iter=max_iter)
     rows = {measure: _residual_density(g, top) for measure, top in table.columns}
     return RemovalReport(graph_name=name, k=k, rows=rows, removed=dict(table.columns))
-
-
-def plot_series(reports: Sequence[RemovalReport]) -> PlotSeries:
-    """Assemble per-measure density series across reports, in report order."""
-    if not reports:
-        return PlotSeries(names=(), series={})
-    measures = tuple(reports[0].rows)
-    tags = set(measures)
-    for report in reports[1:]:
-        if set(report.rows) != tags:
-            raise ValueError("removal reports carry different measure sets")
-    names = tuple(report.graph_name for report in reports)
-    series = {m: tuple(report.rows[m] for report in reports) for m in measures}
-    return PlotSeries(names=names, series=series)
 
 
 def random_removal_density(

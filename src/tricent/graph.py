@@ -284,25 +284,13 @@ def parse_pajek(text: str) -> Graph:
     return Graph(pairs, nodes=range(1, n_declared + 1))
 
 
-def to_pajek(g: Graph) -> str:
-    """Serialize to Pajek text. Requires node labels to be exactly 1..n."""
-    n = g.node_count
-    if set(g.nodes) != set(range(1, n + 1)):
-        raise ValueError("Pajek serialization needs contiguous 1-based labels")
-    lines = [f"*Vertices {n}"]
-    lines.extend(f'{v} "v{v}"' for v in g.nodes)
-    lines.append("*Edges")
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 def load_graph(path: str | Path, fmt: str = "auto") -> Graph:
     """Read a network file. ``fmt`` is ``pajek``, ``edgelist``, or ``auto``
     (``.net`` extension means Pajek, anything else a plain edge list)."""
     path = Path(path)
     if fmt == "auto":
         fmt = "pajek" if path.suffix.lower() == ".net" else "edgelist"
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")  # skips one leading byte-order mark
     if fmt == "pajek":
         return parse_pajek(text)
     if fmt == "edgelist":

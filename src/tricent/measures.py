@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, List, Mapping, Tuple
@@ -140,39 +139,34 @@ def _distance_blocks(g: Graph, limit: float = math.inf) -> Iterator[Tuple[np.nda
 def _brandes_source(s: int, nbrs: List[List[int]], acc: List[float]) -> None:
     """Add source s's dependencies to acc: one BFS and its back-propagation."""
     n = len(nbrs)
-    stack: list[int] = []
     pred: list[list[int]] = [[] for _ in range(n)]
     sigma = [0] * n
     sigma[s] = 1
     dist = [-1] * n
     dist[s] = 0
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        stack.append(v)
+    order = [s]  # the BFS queue, read as it grows; reversed, the back-propagation's stack
+    for v in order:
         for w in nbrs[v]:
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
-                queue.append(w)
+                order.append(w)
             if dist[w] == dist[v] + 1:
                 sigma[w] += sigma[v]
                 pred[w].append(v)
     delta = [0.0] * n
-    while stack:
-        w = stack.pop()
+    for w in reversed(order):
         for v in pred[w]:
             delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
         if w != s:
             acc[w] += delta[w]
 
 
-def betweenness_centrality(g: Graph, normalized: bool = True) -> ScoreVector:
+def betweenness_centrality(g: Graph) -> ScoreVector:
     """Shortest-path betweenness over unordered node pairs (Brandes).
 
     Each node's score is the sum over pairs (s, t) of the fraction of
-    shortest s-t paths passing through it. With ``normalized`` the sum is
-    scaled by 2/((n-1)(n-2)) for n >= 3, which never changes rank order;
-    ``normalized=False`` returns the raw pair fractions.
+    shortest s-t paths passing through it, scaled by 2/((n-1)(n-2)) for
+    n >= 3, which never changes rank order.
 
     Sources run in blocks. A block whose BFS is at most ``_BETWEENNESS_DEPTH``
     levels deep counts shortest paths (sigma) and back-propagates
@@ -209,7 +203,7 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> ScoreVector:
             delta[level] = (a @ share)[level] * sigma[level]
         acc += delta.sum(axis=1)
     # every unordered pair was accumulated from both endpoints
-    scale = 1.0 / ((n - 1) * (n - 2)) if normalized and n >= 3 else 0.5
+    scale = 1.0 / ((n - 1) * (n - 2)) if n >= 3 else 0.5
     return _scores(Measure.BC, g, acc * scale)
 
 

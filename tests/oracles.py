@@ -69,7 +69,7 @@ def _all_shortest_paths(g: Graph, s: NodeId, t: NodeId) -> List[Tuple[NodeId, ..
     return paths
 
 
-def oracle_betweenness(g: Graph, normalized: bool = True) -> ScoreVector:
+def oracle_betweenness(g: Graph) -> ScoreVector:
     """Betweenness by full shortest-path enumeration (n <= 8, connected)."""
     if g.node_count > 8:
         raise ValueError("oracle_betweenness is limited to 8 nodes")
@@ -86,7 +86,7 @@ def oracle_betweenness(g: Graph, normalized: bool = True) -> ScoreVector:
             through = sum(1 for p in paths if v in p)
             pair_sum[v] += through / len(paths)
     n = g.node_count
-    scale = 2.0 / ((n - 1) * (n - 2)) if normalized and n >= 3 else 1.0
+    scale = 2.0 / ((n - 1) * (n - 2)) if n >= 3 else 1.0
     return ScoreVector(Measure.BC, {v: pair_sum[v] * scale for v in g.nodes})
 
 

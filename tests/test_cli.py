@@ -247,6 +247,32 @@ def test_input_decoding_ignores_the_locale(tmp_path, capsys):
     assert got.stderr.startswith("tricent: parse error: 'utf-8' codec can't decode byte 0xe9")
 
 
+def test_leading_byte_order_mark_is_skipped(tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    karate = tmp_path / "karate.net"
+    karate.write_bytes(bom + Path(KARATE).read_bytes())
+    for argv in (("info",), ("rank", "--k", "5")):
+        want = run_cli(capsys, argv[0], KARATE, *argv[1:])
+        assert want[0] == 0
+        assert run_cli(capsys, argv[0], str(karate), *argv[1:]) == want
+    plain, marked = tmp_path / "plain.edges", tmp_path / "marked.edges"
+    plain.write_bytes(b"1 2\n2 3\n")
+    marked.write_bytes(bom + plain.read_bytes())
+    want = run_cli(capsys, "info", str(plain))
+    assert want[0] == 0
+    assert run_cli(capsys, "info", str(marked)) == want
+
+
+def test_cli_import_leaves_csgraph_unloaded():
+    # csgraph is imported only where closeness and betweenness need it
+    env = dict(os.environ, PYTHONPATH=str(Path(tricent.__file__).resolve().parent.parent))
+    code = "import sys, tricent.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    got = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (got.returncode, got.stdout, got.stderr) == (0, "False\n", "")
+
+
 def test_convergence_failure_exits_3(capsys):
     code, out, err = run_cli(capsys, "rank", KARATE, "--measure", "pr", "--max-iter", "1")
     assert code == 3

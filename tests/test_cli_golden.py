@@ -20,6 +20,7 @@ KARATE = str(DATA_DIR / "karate.net")
 TOY = str(GOLDEN / "toy.edges")
 HK = str(GOLDEN / "hk-332.net")  # Holme–Kim, 332 nodes / 1956 edges, triad p = 0.7
 WIDE = str(GOLDEN / "wide-labels.edges")  # negative labels and labels above 2**63
+DEEP = str(GOLDEN / "deep.edges")  # diameter 47: BC runs per-source Brandes from every node
 
 CASES = {
     "rank-tc": ("rank", KARATE, "--measure", "tc", "--k", "5"),
@@ -30,6 +31,8 @@ CASES = {
     },
     "compare-hk": ("compare", HK, "--k", "10"),
     "rank-bc-hk": ("rank", HK, "--measure", "bc", "--k", "50"),
+    "rank-bc-deep": ("rank", DEEP, "--measure", "bc", "--k", "20"),
+    "rank-cnc-deep": ("rank", DEEP, "--measure", "cnc", "--k", "20"),
     "info-wide": ("info", WIDE),
     "rank-ec-wide": ("rank", WIDE, "--measure", "ec", "--k", "8"),
     "compare": ("compare", KARATE, "--k", "5"),

@@ -1,4 +1,4 @@
-"""Ranking tables, removal reports, plot series, and the brute-force oracles."""
+"""Ranking tables, removal reports, and the brute-force oracles."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from tricent import (
     betweenness_centrality,
     comparison_table,
     density,
-    plot_series,
     random_removal_density,
     rank_top_k,
     removal_impact,
@@ -126,39 +125,6 @@ def test_removal_leaving_one_node_rejected(karate, monkeypatch):
         removal_impact(Graph(nodes=[1]), "single", 0)
     with pytest.raises(ValueError, match="k=33 leaves 1 of 34 nodes"):
         random_removal_density(karate, 33)
-
-
-# ----------------------------------------------------------------- plot_series
-
-
-def test_plot_series_assembles_in_report_order(karate):
-    r1 = removal_impact(karate, "a", 3)
-    r2 = removal_impact(karate, "b", 3)
-    series = plot_series([r1, r2])
-    assert series.names == ("a", "b")
-    assert series.x == (1, 2)
-    for m in COMPARISON_MEASURES:
-        assert series.series[m] == (r1.rows[m], r2.rows[m])
-
-
-def test_plot_series_empty():
-    series = plot_series([])
-    assert series.names == ()
-    assert series.series == {}
-
-
-def test_plot_series_mismatched_measures(karate):
-    from tricent.experiments import RemovalReport
-
-    full = removal_impact(karate, "a", 2)
-    partial = RemovalReport(
-        graph_name="b",
-        k=2,
-        rows={Measure.TC: 0.1},
-        removed={Measure.TC: (1, 2)},
-    )
-    with pytest.raises(ValueError):
-        plot_series([full, partial])
 
 
 # -------------------------------------------------------------------- baseline

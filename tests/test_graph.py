@@ -16,7 +16,6 @@ from tricent import (
     load_graph,
     parse_edgelist,
     parse_pajek,
-    to_pajek,
     triangle_neighbors,
     triangles_at,
 )
@@ -250,16 +249,6 @@ def test_parse_edgelist_errors():
     assert err.value.line == 1
     with pytest.raises(ParseError):
         parse_edgelist("1 two\n")
-
-
-def test_to_pajek_round_trip():
-    g = Graph([(1, 2), (2, 3)], nodes=[1, 2, 3, 4])
-    assert parse_pajek(to_pajek(g)) == g
-
-
-def test_to_pajek_needs_contiguous_labels():
-    with pytest.raises(ValueError):
-        to_pajek(Graph([(1, 5)]))
 
 
 def test_load_graph_format_resolution(tmp_path):

@@ -122,19 +122,14 @@ def test_triangle_count_centrality(karate):
 
 def test_betweenness_path_center():
     g = Graph([(1, 2), (2, 3)])
-    raw = betweenness_centrality(g, normalized=False)
-    assert raw[2] == pytest.approx(1.0)
-    assert raw[1] == raw[3] == 0.0
-    normed = betweenness_centrality(g)
-    assert normed[2] == pytest.approx(1.0)  # n=3: scale is 1/((n-1)(n-2)) = 1/2 per direction
+    scores = betweenness_centrality(g)
+    assert scores[2] == pytest.approx(1.0)  # n=3: scale is 1/((n-1)(n-2)) = 1/2 per direction
+    assert scores[1] == scores[3] == 0.0
 
 
 def test_betweenness_star_center():
     star = Graph([(1, v) for v in range(2, 6)])
-    raw = betweenness_centrality(star, normalized=False)
-    assert raw[1] == pytest.approx(math.comb(4, 2))
-    normed = betweenness_centrality(star)
-    assert normed[1] == pytest.approx(1.0)
+    assert betweenness_centrality(star)[1] == pytest.approx(1.0)
 
 
 def test_betweenness_cycle_symmetry():
@@ -146,13 +141,13 @@ def test_betweenness_cycle_symmetry():
 
 def test_betweenness_disconnected_pairs_ignored():
     g = Graph([(1, 2), (3, 4)])
-    scores = betweenness_centrality(g, normalized=False)
+    scores = betweenness_centrality(g)
     assert all(scores[v] == 0.0 for v in g.nodes)
 
 
 @pytest.fixture(scope="module")
 def betweenness_graphs(karate):
-    files = ["toy.edges", "hk-332.net", "wide-labels.edges"]
+    files = ["toy.edges", "hk-332.net", "wide-labels.edges", "deep.edges"]
     split = Graph([(1, 2), (2, 3), (1, 3), (5, 6)], nodes=[4, 7])  # isolated 4 and 7
     ring = Graph([(v, (v + 1) % 200) for v in range(200)])
     # 60 diamonds in a row: 2^60 shortest paths end to end, 120 BFS levels
@@ -197,7 +192,7 @@ def test_betweenness_branches_agree_at_every_block_width(monkeypatch, betweennes
 @pytest.mark.parametrize(
     "name, width, calls",
     # on "mixed", the 15 blocks of 7 that hold a path node (rows 0-99) are deep
-    [("hk-332.net", "n", 0), ("ring", "n", 200), ("mixed", 7, 105)],
+    [("hk-332.net", "n", 0), ("ring", "n", 200), ("deep.edges", "n", 61), ("mixed", 7, 105)],
 )
 def test_betweenness_runs_per_source_brandes_only_for_deep_blocks(
     monkeypatch, betweenness_graphs, name, width, calls
@@ -242,7 +237,7 @@ def test_closeness_two_components():
 
 @pytest.fixture(scope="module")
 def closeness_cases(karate):
-    files = ["toy.edges", "hk-332.net", "wide-labels.edges"]
+    files = ["toy.edges", "hk-332.net", "wide-labels.edges", "deep.edges"]
     split = Graph([(1, 2), (2, 3), (1, 3), (5, 6)], nodes=[4, 7])  # isolated 4 and 7
     graphs = [karate, *(load_graph(GOLDEN / name) for name in files), split]
     return [(g, oracle_closeness(g).scores) for g in graphs]
