@@ -24,14 +24,13 @@ def main() -> None:
             print(f"{name}: not present under data/, skipped (see data/README.md)")
             continue
         g = load_graph(path)
-        table = comparison_table(g, path.stem, 5)
+        table = comparison_table(g, 5)
         print(f"{path.stem} ({g.node_count} nodes, {g.edge_count} edges), top 5 per measure:")
-        tags = [m.value for m, _ in table.columns]
-        print("  rank  " + "".join(f"{t:>6}" for t in tags))
-        depth = min(table.k, g.node_count)
-        for r in range(depth):
-            row = "".join(f"{col[r]:>6}" for _, col in table.columns)
-            print(f"  {r + 1:>4}  {row}")
+        print("  rank  " + "".join(f"{m.value:>6}" for m in table))
+        # row r holds each measure's rank-(r+1) node
+        for r, nodes in enumerate(zip(*table.values()), start=1):
+            row = "".join(f"{v:>6}" for v in nodes)
+            print(f"  {r:>4}  {row}")
 
 
 if __name__ == "__main__":

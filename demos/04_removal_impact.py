@@ -26,32 +26,31 @@ K = 5
 
 
 def main() -> None:
-    reports = []
+    reports = {}
     for name in NETWORKS:
         path = DATA / name
         if not path.exists():
             print(f"{name}: not present under data/, skipped (see data/README.md)")
             continue
         g = load_graph(path)
-        report = removal_impact(g, path.stem, K)
-        reports.append(report)
+        report = removal_impact(g, K)
+        reports[path.stem] = report
         baseline = random_removal_density(g, K, trials=100)
         print(
             f"{path.stem}: intact density {density(g):.4f}, "
             f"mean after {K} random removals {baseline:.4f}"
         )
-        lowest = min(report.rows[m] for m in COMPARISON_MEASURES)
-        for m in COMPARISON_MEASURES:
+        lowest = min(dens for dens, _ in report.values())
+        for m, (dens, removed) in report.items():
             # ties for the lowest density are all flagged, never hidden
-            marker = "  <- lowest" if report.rows[m] == lowest else ""
-            removed = " ".join(str(v) for v in report.removed[m])
-            print(f"  {m.value:>4} removed [{removed}] -> density {report.rows[m]:.4f}{marker}")
+            marker = "  <- lowest" if dens == lowest else ""
+            nodes = " ".join(str(v) for v in removed)
+            print(f"  {m.value:>4} removed [{nodes}] -> density {dens:.4f}{marker}")
 
     if reports:
-        names = ", ".join(report.graph_name for report in reports)
-        print(f"density series across networks (x = {names}):")
+        print(f"density series across networks (x = {', '.join(reports)}):")
         for m in COMPARISON_MEASURES:
-            values = "  ".join(f"{report.rows[m]:.4f}" for report in reports)
+            values = "  ".join(f"{report[m][0]:.4f}" for report in reports.values())
             print(f"  {m.value:>4}: {values}")
 
 

@@ -38,8 +38,6 @@ from .experiments import (
     COMPARISON_MEASURES,
     DEFAULT_SEED,
     EXPERIMENT_DAMPING,
-    RankingTable,
-    RemovalReport,
     comparison_table,
     random_removal_density,
     rank_top_k,
@@ -57,8 +55,6 @@ __all__ = [
     "Measure",
     "NodeId",
     "ParseError",
-    "RankingTable",
-    "RemovalReport",
     "ScoreVector",
     "UnknownNodeError",
     "__version__",

@@ -206,12 +206,12 @@ def cmd_rank(args: argparse.Namespace) -> str:
 def cmd_compare(args: argparse.Namespace) -> str:
     path = args.inputs[0]
     g = load_graph(path, fmt=args.input_format)
-    table = comparison_table(g, _name(path), args.k, args.measures, **_solver(args))
-    header = [m.value for m, _ in table.columns]
+    table = comparison_table(g, args.k, args.measures, **_solver(args))
+    header = [m.value for m in table]
     # rows are node labels only: row r holds each measure's rank-(r+1) node
-    rows = [list(row) for row in zip(*(nodes for _, nodes in table.columns))]
+    rows = [list(row) for row in zip(*table.values())]
     params = {"measures": header, "k": args.k, **_solver(args)}
-    return render(args, table.graph_name, params, (header, rows))
+    return render(args, _name(path), params, (header, rows))
 
 
 def cmd_ablate(args: argparse.Namespace) -> str:
@@ -223,18 +223,17 @@ def cmd_ablate(args: argparse.Namespace) -> str:
         graphs.append(g)
     rows: List[list] = []
     plot_rows: List[list] = []  # one density-by-measure row per network
-    for path, g in zip(args.inputs, graphs):
-        report = removal_impact(g, _name(path), args.k, args.measures, **_solver(args))
-        plot_rows.append([report.graph_name] + [round(report.rows[m], 4) for m in args.measures])
-        for m in args.measures:
-            removed = list(report.removed[m])
-            rows.append([report.graph_name, m.value, round(report.rows[m], 4), removed])
+    names = [_name(p) for p in args.inputs]
+    for name, g in zip(names, graphs):
+        report = removal_impact(g, args.k, args.measures, **_solver(args))
+        plot_rows.append([name] + [round(dens, 4) for dens, _ in report.values()])
+        for m, (dens, removed) in report.items():
+            rows.append([name, m.value, round(dens, 4), list(removed)])
         if args.random_baseline:
             baseline = random_removal_density(g, args.k, trials=100, seed=args.seed)
-            rows.append([report.graph_name, "RAND", round(baseline, 4), []])
+            rows.append([name, "RAND", round(baseline, 4), []])
 
     plot = (["network"] + tags, plot_rows) if args.plot_series else None
-    names = [_name(p) for p in args.inputs]
     graph = names[0] if len(names) == 1 else names
     params = {"measures": tags, "k": args.k, **_solver(args), "seed": args.seed}
     table = (["graph", "measure", "density", "removed"], rows)

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .graph import Graph, NodeId, _density
 from .measures import Measure, ScoreVector, _require_nonempty, compute
@@ -27,31 +26,6 @@ EXPERIMENT_DAMPING = 0.35
 
 # Seed for the random-removal baseline; fixed so reruns are comparable.
 DEFAULT_SEED = 42
-
-
-@dataclass(frozen=True)
-class RankingTable:
-    """Top-k node lists per measure, in presentation column order."""
-
-    graph_name: str
-    k: int
-    columns: Tuple[Tuple[Measure, Tuple[NodeId, ...]], ...]
-
-    def column(self, measure: Measure) -> Tuple[NodeId, ...]:
-        for tag, nodes in self.columns:
-            if tag is measure:
-                return nodes
-        raise KeyError(measure)
-
-
-@dataclass(frozen=True)
-class RemovalReport:
-    """Residual graph density after deleting each measure's top-k nodes."""
-
-    graph_name: str
-    k: int
-    rows: Mapping[Measure, float]
-    removed: Mapping[Measure, Tuple[NodeId, ...]]
 
 
 def _residual_density(g: Graph, removed: Iterable[NodeId]) -> float:
@@ -86,42 +60,36 @@ def rank_top_k(scores: ScoreVector, k: int) -> List[NodeId]:
 
 def comparison_table(
     g: Graph,
-    name: str,
     k: int,
     measures: Sequence[Measure] = COMPARISON_MEASURES,
     *,
     damping: float = EXPERIMENT_DAMPING,
     tol: float = 1e-10,
     max_iter: int = 1000,
-) -> RankingTable:
-    """Side-by-side top-k rankings, one column per measure in ``measures``."""
+) -> Dict[Measure, Tuple[NodeId, ...]]:
+    """Top-k nodes of each measure, keyed in ``measures`` order."""
     _require_nonempty(g)
-    columns = []
-    for measure in measures:
-        scores = compute(g, measure, damping=damping, tol=tol, max_iter=max_iter)
-        columns.append((measure, tuple(rank_top_k(scores, k))))
-    return RankingTable(graph_name=name, k=k, columns=tuple(columns))
+    solver = {"damping": damping, "tol": tol, "max_iter": max_iter}
+    return {m: tuple(rank_top_k(compute(g, m, **solver), k)) for m in measures}
 
 
 def removal_impact(
     g: Graph,
-    name: str,
     k: int,
     measures: Sequence[Measure] = COMPARISON_MEASURES,
     *,
     damping: float = EXPERIMENT_DAMPING,
     tol: float = 1e-10,
     max_iter: int = 1000,
-) -> RemovalReport:
-    """Density left behind after deleting the top-k nodes of each of ``measures``.
+) -> Dict[Measure, Tuple[float, Tuple[NodeId, ...]]]:
+    """Residual density and removed nodes after deleting each measure's top k.
 
     Lower residual density means the removed nodes carried more of the
     network's linkage. k = 0 is allowed and reports the intact density.
     """
     _check_k(g, k)
-    table = comparison_table(g, name, k, measures, damping=damping, tol=tol, max_iter=max_iter)
-    rows = {measure: _residual_density(g, top) for measure, top in table.columns}
-    return RemovalReport(graph_name=name, k=k, rows=rows, removed=dict(table.columns))
+    table = comparison_table(g, k, measures, damping=damping, tol=tol, max_iter=max_iter)
+    return {measure: (_residual_density(g, top), top) for measure, top in table.items()}
 
 
 def random_removal_density(

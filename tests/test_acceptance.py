@@ -93,10 +93,10 @@ def gate(capsys) -> GateReporter:
 def test_criterion_1_karate_golden_ranks(karate, gate):
     def check():
         start = time.perf_counter()
-        table = comparison_table(karate, "karate", 5)
+        table = comparison_table(karate, 5)
         elapsed = time.perf_counter() - start
         for measure, want in GOLDEN_TOP5.items():
-            got = table.column(measure)
+            got = table[measure]
             assert got == want, f"{measure.value} column {got} != {want}"
         assert elapsed < 1.0, f"ranking took {elapsed:.2f}s, budget 1s"
         return f"all 6 columns exact, {elapsed * 1000:.0f} ms"
@@ -108,9 +108,9 @@ def test_criterion_2_density_ablation(karate, gate):
     def check():
         start = time.perf_counter()
         notes = []
-        report = removal_impact(karate, "karate", 5)
+        report = removal_impact(karate, 5)
         for measure, want in KARATE_DENSITY_ROWS.items():
-            got = round(report.rows[measure], 4)
+            got = round(report[measure][0], 4)
             assert abs(got - want) <= DENSITY_TOL, (
                 f"karate {measure.value} density {got} vs {want}"
             )
@@ -120,7 +120,7 @@ def test_criterion_2_density_ablation(karate, gate):
             if g is None:
                 notes.append(f"{name} absent, skipped")
                 continue
-            got = round(removal_impact(g, name, 5).rows[Measure.TC], 4)
+            got = round(removal_impact(g, 5)[Measure.TC][0], 4)
             counts = (g.node_count, g.edge_count)
             if abs(got - want) <= DENSITY_TOL:
                 notes.append(f"{name} TC {got} ok")
@@ -260,9 +260,9 @@ def test_criterion_6_blogs_first_two(gate):
 
     def check():
         counts = (g.node_count, g.edge_count)
-        table = comparison_table(g, "blogs", 2)
+        table = comparison_table(g, 2)
         mismatches = [
-            f"{m.value}={col}" for m, col in table.columns if col != (18, 3)
+            f"{m.value}={col}" for m, col in table.items() if col != (18, 3)
         ]
         if mismatches and counts != REFERENCE_COUNTS["blogs"]:
             return (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -390,3 +391,66 @@ def test_output_uses_lf_endings(capsys):
     assert "\r" not in out
     assert out.endswith("\n")
     assert not out.endswith("\n\n")
+
+
+# ------------------------------------------------------------- contract fuzz
+
+FUZZ_SEEDS = [KARATE, TOY, str(Path(TOY).with_name("deep.edges"))]
+FUZZ_COMMANDS = (
+    [["info"]]
+    + [["rank", "--measure", m.value] for m in tricent.Measure]
+    + [["compare"], ["ablate", "--k", "2", "--random-baseline"]]
+)
+# bytes a mutation inserts: digits and separators keep most files readable, the
+# rest reach the readers' error paths
+FUZZ_TOKENS = [b"0", b"1", b"7", b"-1", b"35", b"999", b" ", b"\n", b"\n\n", b"\t",
+               b"%", b"*Edges", b"*Vertices", b"*Arcs", b"1e3", b"\xff", b"\r\n"]
+
+
+def _fuzz_forms():
+    """Each seed file's own bytes, plus the same graph in the other format (labels are 1..n)."""
+    forms = []
+    for path in map(Path, FUZZ_SEEDS):
+        g = tricent.load_graph(path)
+        lines = "".join(f"{u} {v}\n" for u, v in g.edges())
+        pajek = f"*Vertices {g.node_count}\n*Edges\n{lines}"
+        other = (".edges", lines) if path.suffix == ".net" else (".net", pajek)
+        forms += [(path.suffix, path.read_bytes()), (other[0], other[1].encode())]
+    return forms
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    """``data`` with one byte overwritten, one token inserted, or one span deleted or repeated."""
+    buf = bytearray(data)
+    at = rng.randrange(len(buf))
+    op = rng.randrange(4)
+    if op == 0:
+        buf[at] = rng.randrange(256)
+    elif op == 1:
+        buf[at:at] = rng.choice(FUZZ_TOKENS)
+    elif op == 2:
+        del buf[at:at + rng.randint(1, 40)]
+    else:
+        buf[at:at] = buf[at:at + rng.randint(1, 40)]
+    return bytes(buf)
+
+
+def test_cli_contract_holds_on_mutated_inputs(tmp_path, capsys, monkeypatch):
+    from tricent import graph
+
+    monkeypatch.setattr(graph, "_MAX_VERTICES", 200)  # no mutated count allocates much
+    rng = random.Random(7)
+    forms = _fuzz_forms()
+    for case in range(75):
+        suffix, data = rng.choice(forms)
+        path = tmp_path / f"case{case}{suffix}"
+        path.write_bytes(_mutate(rng, data))
+        command, *options = FUZZ_COMMANDS[case % len(FUZZ_COMMANDS)]
+        argv = [command, str(path), *options, "--format", rng.choice(["csv", "json"])]
+        first = run_cli(capsys, *argv)
+        code, out, _ = first
+        assert code in {0, 2, 3, 4}, (case, argv, first)
+        if code:
+            assert out == "", (case, argv, first)
+        else:
+            assert run_cli(capsys, *argv) == first, (case, argv)

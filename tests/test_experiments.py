@@ -54,65 +54,69 @@ def test_rank_top_k_deterministic(karate):
 
 
 def test_comparison_table_column_order(karate):
-    table = comparison_table(karate, "karate", 5)
-    assert tuple(m for m, _ in table.columns) == COMPARISON_MEASURES
-    assert table.graph_name == "karate"
-    assert table.k == 5
+    table = comparison_table(karate, 5)
+    assert tuple(table) == COMPARISON_MEASURES
+    picked = comparison_table(karate, 5, (Measure.TC, Measure.BC))
+    assert tuple(picked) == (Measure.TC, Measure.BC)
 
 
 def test_comparison_table_k5_complete_graph_tie_break():
     k5 = Graph([(u, v) for u, v in combinations(range(1, 6), 2)])
-    table = comparison_table(k5, "k5", 3)
-    for _, column in table.columns:
+    table = comparison_table(k5, 3)
+    for column in table.values():
         assert column == (1, 2, 3)
 
 
 def test_comparison_table_tc_column_matches_direct_path(karate):
-    table = comparison_table(karate, "karate", 5)
-    assert list(table.column(Measure.TC)) == rank_top_k(tr_centrality(karate), 5)
+    table = comparison_table(karate, 5)
+    assert list(table[Measure.TC]) == rank_top_k(tr_centrality(karate), 5)
 
 
 def test_comparison_table_missing_column_lookup(karate):
-    table = comparison_table(karate, "karate", 2)
+    table = comparison_table(karate, 2)
     with pytest.raises(KeyError):
-        table.column(Measure.SDEG)
+        table[Measure.SDEG]
 
 
 def test_comparison_table_rejects_empty_graph():
     with pytest.raises(ValueError):
-        comparison_table(Graph(), "empty", 3)
+        comparison_table(Graph(), 3)
 
 
 # -------------------------------------------------------------- removal_impact
 
 
 def test_removal_impact_k0_identity(karate):
-    report = removal_impact(karate, "karate", 0)
+    report = removal_impact(karate, 0)
     for m in COMPARISON_MEASURES:
-        assert report.rows[m] == pytest.approx(density(karate))
-        assert report.removed[m] == ()
+        assert report[m][0] == pytest.approx(density(karate))
+        assert report[m][1] == ()
 
 
 def test_removal_impact_matches_manual_removal(karate):
-    report = removal_impact(karate, "karate", 5)
+    report = removal_impact(karate, 5)
     for m in COMPARISON_MEASURES:
-        expected = density(karate.remove_nodes(report.removed[m]))
-        assert report.rows[m] == expected  # stored exactly, no rounding
-        assert 0.0 <= report.rows[m] <= 1.0
-        assert len(report.removed[m]) == 5
+        expected = density(karate.remove_nodes(report[m][1]))
+        assert report[m][0] == expected  # stored exactly, no rounding
+        assert 0.0 <= report[m][0] <= 1.0
+        assert len(report[m][1]) == 5
 
 
 def test_removal_impact_removed_equals_table_columns(karate):
-    report = removal_impact(karate, "karate", 5)
-    table = comparison_table(karate, "karate", 5)
+    report = removal_impact(karate, 5)
+    table = comparison_table(karate, 5)
+    assert tuple(report) == COMPARISON_MEASURES
     for m in COMPARISON_MEASURES:
-        assert report.removed[m] == table.column(m)
+        dens, removed = report[m]
+        assert isinstance(dens, float)
+        assert removed == table[m]
+        assert report[m] == (density(karate.remove_nodes(removed)), removed)
 
 
 def test_removal_impact_k_too_large():
     g = Graph([(1, 2), (2, 3)])
     with pytest.raises(ValueError):
-        removal_impact(g, "tiny", 3)
+        removal_impact(g, 3)
 
 
 def test_removal_leaving_one_node_rejected(karate, monkeypatch):
@@ -120,9 +124,9 @@ def test_removal_leaving_one_node_rejected(karate, monkeypatch):
 
     monkeypatch.setattr(experiments, "compute", lambda *a, **kw: pytest.fail("computed"))
     with pytest.raises(ValueError, match="k=2 leaves 1 of 3 nodes"):
-        removal_impact(Graph([(1, 2), (2, 3)]), "tiny", 2)
+        removal_impact(Graph([(1, 2), (2, 3)]), 2)
     with pytest.raises(ValueError, match="k=0 leaves 1 of 1 nodes"):
-        removal_impact(Graph(nodes=[1]), "single", 0)
+        removal_impact(Graph(nodes=[1]), 0)
     with pytest.raises(ValueError, match="k=33 leaves 1 of 34 nodes"):
         random_removal_density(karate, 33)
 
@@ -148,9 +152,9 @@ def test_random_removal_density_validation(karate):
 def test_targeted_removal_beats_random_on_karate(karate):
     # hub removal destroys more edges than random removal, on average
     baseline = random_removal_density(karate, 5, trials=100)
-    report = removal_impact(karate, "karate", 5)
+    report = removal_impact(karate, 5)
     for m in COMPARISON_MEASURES:
-        assert report.rows[m] <= baseline
+        assert report[m][0] <= baseline
 
 
 # --------------------------------------------------------------------- oracles
@@ -207,10 +211,10 @@ def test_oracle_betweenness_matches_brandes_small():
 
 
 def test_comparison_table_damping_override_changes_pr(karate):
-    mild = comparison_table(karate, "karate", 5)
-    web = comparison_table(karate, "karate", 5, damping=0.85)
-    assert mild.column(Measure.PR) == (34, 1, 33, 2, 3)
-    assert web.column(Measure.PR) == (34, 1, 33, 3, 2)
+    mild = comparison_table(karate, 5)
+    web = comparison_table(karate, 5, damping=0.85)
+    assert mild[Measure.PR] == (34, 1, 33, 2, 3)
+    assert web[Measure.PR] == (34, 1, 33, 3, 2)
     # non-iterative columns are untouched by the damping choice
     for m in (Measure.TR, Measure.BC, Measure.CNC, Measure.TC):
-        assert mild.column(m) == web.column(m)
+        assert mild[m] == web[m]
