@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 from typing import Iterable, Iterator, KeysView, Tuple
 
@@ -46,13 +47,15 @@ class Graph:
         ends = [x for u, v in edges for x in (u, v)]
         self._labels: list[NodeId] = sorted({*nodes, *ends})
         self._index = {v: k for k, v in enumerate(self._labels)}
-        pairs = np.fromiter(map(self._index.__getitem__, ends), np.intp, len(ends)).reshape(-1, 2)
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
-        n = len(self._labels)
-        # conversion sums duplicate pairs and sorts each row's columns
-        self._adj = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        self._adj.data[:] = 1.0
+        rows = np.fromiter(map(self._index.__getitem__, ends), np.intp, len(ends))
+        self._adj = _adjacency(len(self._labels), rows)
+
+    @classmethod
+    def _of(cls, labels: list[NodeId], adj: sparse.csr_array) -> "Graph":
+        """Graph on ``labels`` (sorted, distinct) whose k-th label owns row k of ``adj``."""
+        g = cls.__new__(cls)
+        g._labels, g._index, g._adj = labels, {v: k for k, v in enumerate(labels)}, adj
+        return g
 
     @property
     def nodes(self) -> KeysView[NodeId]:
@@ -111,17 +114,26 @@ class Graph:
     def induced_subgraph(self, keep: Iterable[NodeId]) -> "Graph":
         """Subgraph on ``keep``: those nodes plus every edge between them."""
         rows = self._rows(keep)
-        sub = Graph.__new__(Graph)
-        sub._labels = list(map(self._labels.__getitem__, rows.tolist()))
-        sub._index = {v: k for k, v in enumerate(sub._labels)}
-        sub._adj = self._adj[rows][:, rows]  # rows ascend, so columns stay sorted
-        return sub
+        # rows ascend, so columns stay sorted
+        return Graph._of(list(map(self._labels.__getitem__, rows.tolist())), self._adj[rows][:, rows])
 
     def remove_nodes(self, victims: Iterable[NodeId]) -> "Graph":
         """Graph with ``victims`` (and their incident edges) deleted."""
         keep = np.ones(len(self._labels), bool)
         keep[self._rows(victims)] = False
         return self.induced_subgraph(map(self._labels.__getitem__, np.flatnonzero(keep).tolist()))
+
+
+def _adjacency(n: int, ends: np.ndarray) -> sparse.csr_array:
+    """Symmetric n x n CSR matrix with an entry 1.0 at (u, v) and (v, u) for every
+    pair of rows u = ends[2i], v = ends[2i + 1] with u != v."""
+    pairs = ends.reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
+    # conversion sums duplicate pairs and sorts each row's columns
+    adj = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    adj.data[:] = 1.0
+    return adj
 
 
 def triangle_neighbors(g: Graph, i: NodeId) -> frozenset[NodeId]:
@@ -186,6 +198,15 @@ def parse_edgelist(text: str) -> Graph:
     Node ids are arbitrary integer labels. Tokens after the first two are
     ignored (weights etc.); blank lines are skipped.
     """
+    pairs = _plain_pairs(_lf(text))
+    if pairs is None:
+        return _scan_edgelist(text)
+    labels, rows = np.unique(pairs, return_inverse=True)
+    return Graph._of(labels.tolist(), _adjacency(len(labels), rows))
+
+
+def _scan_edgelist(text: str) -> Graph:
+    """parse_edgelist one line at a time: any input, and the line of an error."""
     pairs: list[Tuple[NodeId, NodeId]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
@@ -201,6 +222,35 @@ def parse_edgelist(text: str) -> Graph:
     return Graph(pairs)
 
 
+def _lf(text: str) -> str:
+    """``text`` with its CRLF line ends as LF, which str.splitlines treats alike."""
+    return text.replace("\r\n", "\n") if "\r" in text else text
+
+
+# Maps digits to b"0" and tabs to spaces. A body that becomes only b"0", b" ",
+# b"\n" and b"-", with no run of 19 zeros, holds only tokens that are either
+# an int64 that loadtxt and int() read alike, or malformed for both; loadtxt
+# raises on the latter, where numpy 1.x would warn on a float or an overflow.
+_DIGITS = bytes.maketrans(b"123456789\t", b"000000000 ")
+
+
+def _plain_pairs(body: str) -> np.ndarray | None:
+    """``body`` as an (m, 2) int64 array when every nonblank line of it is two
+    decimal integers of at most 18 digits, and None for any other body."""
+    if not body.isascii():
+        return None
+    shape = body.encode().translate(_DIGITS)
+    if shape.translate(None, b"0 \n-") or b"0" * 19 in shape:
+        return None
+    if not shape.strip():  # loadtxt warns on an input without rows
+        return np.empty((0, 2), np.int64)
+    try:
+        pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:  # a malformed token, or lines of unequal length
+        return None
+    return pairs if pairs.shape[1] == 2 else None
+
+
 # Pajek section keyword -> what its body lines hold; *Network only names the file
 _SECTIONS = {
     "*network": None, "*vertices": "vertex", "*edges": "pair", "*arcs": "pair",
@@ -210,6 +260,9 @@ _SECTIONS = {
 # Largest *Vertices count accepted: every declared vertex costs about 170
 # bytes of peak memory even when isolated, so this allows about 1.7 GB.
 _MAX_VERTICES = 10**7
+
+# where str.splitlines ends a line, besides "\n" and "\r\n"
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def parse_pajek(text: str) -> Graph:
@@ -224,6 +277,55 @@ def parse_pajek(text: str) -> Graph:
     file's 1-based integers; ids outside 1..n, and n above ``_MAX_VERTICES``,
     raise :class:`ParseError`.
     """
+    g = _plain_pajek(_lf(text))
+    return _scan_pajek(text) if g is None else g
+
+
+def _plain_pajek(text: str) -> Graph | None:
+    """The graph of a file that holds an optional bare ``*Network`` line, one
+    ``*Vertices n`` section whose lines start with ids in 1..n, then ``*Edges``
+    and ``*Arcs`` sections with plain bodies (see _plain_pairs); None for any
+    other file. Label v is row v - 1."""
+    if any(c in text for c in _LINE_BREAKS):
+        return None
+    heads = []  # (start, end) of each line whose first token starts with "*"
+    at = text.find("*")
+    while at >= 0:
+        start, end = text.rfind("\n", 0, at) + 1, text.find("\n", at) + 1 or len(text)
+        if not text[start:at].strip():
+            heads.append((start, end))
+        at = text.find("*", end)
+    if not heads or text[: heads[0][0]].strip():
+        return None
+    n, ends = None, [np.empty((0, 2), np.int64)]
+    stops = [start for start, _ in heads[1:]] + [len(text)]
+    for i, ((start, end), stop) in enumerate(zip(heads, stops)):
+        parts, body = text[start:end].split(), text[end:stop]
+        key = parts[0].lower()
+        if key == "*network" and i == 0 and not body.strip():
+            continue
+        if key == "*vertices" and n is None:
+            try:
+                n = int(parts[1])
+                ids = [int(p[0]) for p in map(str.split, body.split("\n")) if p]
+            except (IndexError, ValueError):
+                return None
+            if not 0 <= n <= _MAX_VERTICES or not all(1 <= v <= n for v in ids):
+                return None
+        elif key in ("*edges", "*arcs") and n is not None:
+            pairs = _plain_pairs(body)
+            if pairs is None or pairs.size and not (pairs.min() >= 1 and pairs.max() <= n):
+                return None
+            ends.append(pairs)
+        else:
+            return None
+    if n is None:
+        return None
+    return Graph._of(list(range(1, n + 1)), _adjacency(n, np.concatenate(ends) - 1))
+
+
+def _scan_pajek(text: str) -> Graph:
+    """parse_pajek one line at a time: any input, and the line of an error."""
     n_declared: int | None = None
     pairs: list[Tuple[NodeId, NodeId]] = []
     section: str | None = None

@@ -9,7 +9,7 @@ from typing import List, Optional, Tuple
 
 import pytest
 
-from tricent import Graph, load_graph
+from tricent import Graph, ParseError, load_graph
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -107,3 +107,18 @@ def dataset_or_none(name: str) -> Optional[Graph]:
     if not path.exists():
         return None
     return load_graph(path)
+
+
+def assert_reads_alike(reader, oracle, text: str) -> None:
+    """``reader(text)`` gives ``oracle(text)``'s graph, with labels of the same
+    types and a well-formed matrix, or a ParseError with the oracle's line and
+    message."""
+    outcomes = []
+    for read in (reader, oracle):
+        try:
+            g = read(text)
+            well_formed = g._adj.has_sorted_indices and set(g._adj.data.tolist()) <= {1.0}
+            outcomes.append((g, repr(g._labels), well_formed))
+        except ParseError as err:
+            outcomes.append((str(err), err.line))
+    assert outcomes[0] == outcomes[1], text

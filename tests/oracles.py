@@ -2,7 +2,8 @@
 
 Deliberately naive and size-limited: triangles by enumerating every node
 triple, betweenness by listing every shortest path, closeness by one plain
-BFS per source. Test-only.
+BFS per source. The network readers are the line-at-a-time loops that the
+library's whole-body readers must agree with. Test-only.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from collections import deque
 from itertools import combinations
 from typing import Dict, List, Tuple
 
-from tricent import Graph, Measure, NodeId, ScoreVector
+from tricent import Graph, Measure, NodeId, ParseError, ScoreVector, graph
 
 
 def oracle_triangles(g: Graph) -> Dict[NodeId, int]:
@@ -110,3 +111,103 @@ def oracle_closeness(g: Graph) -> ScoreVector:
         reached, total = len(dist) - 1, sum(dist.values())
         scores[s] = (reached / (n - 1)) * (reached / total) if reached > 0 else 0.0
     return ScoreVector(Measure.CNC, scores)
+
+
+def oracle_parse_edgelist(text: str) -> Graph:
+    """Read a plain edge list: one ``u v`` pair per line, ``#`` comments ignored.
+
+    Node ids are arbitrary integer labels. Tokens after the first two are
+    ignored (weights etc.); blank lines are skipped.
+    """
+    pairs: list[Tuple[NodeId, NodeId]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        parts = body.split()
+        if not parts:
+            continue
+        if len(parts) < 2:
+            raise ParseError(f"expected 'u v', got {body.strip()!r}", lineno)
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError(f"non-integer endpoint in {body.strip()!r}", lineno) from None
+    return Graph(pairs)
+
+
+# Pajek section keyword -> what its body lines hold; *Network only names the file
+_SECTIONS = {
+    "*network": None, "*vertices": "vertex", "*edges": "pair", "*arcs": "pair",
+    "*edgeslist": "list", "*arcslist": "list",
+}
+
+
+def oracle_parse_pajek(text: str) -> Graph:
+    """Read a Pajek ``.net`` description into an undirected simple graph.
+
+    Requires a ``*Vertices n`` header; accepts any number of ``*Edges`` /
+    ``*Arcs`` (and ``*Edgeslist`` / ``*Arcslist``) sections. Section keywords
+    are case-insensitive, ``%`` comment lines and blank lines are skipped, a
+    leading ``*Network`` line is ignored. Arcs are merged undirected, edge
+    weights are ignored, duplicates collapse, self-loops are dropped, and all
+    n declared vertices are kept even when isolated. Vertex ids are the
+    file's 1-based integers; ids outside 1..n, and n above ``_MAX_VERTICES``,
+    raise :class:`ParseError`.
+    """
+    n_declared: int | None = None
+    pairs: list[Tuple[NodeId, NodeId]] = []
+    section: str | None = None
+
+    def check_id(token: str, lineno: int) -> int:
+        try:
+            vid = int(token)
+        except ValueError:
+            raise ParseError(f"non-numeric vertex id {token!r}", lineno) from None
+        assert n_declared is not None
+        if not 1 <= vid <= n_declared:
+            raise ParseError(f"vertex id {vid} outside 1..{n_declared}", lineno)
+        return vid
+
+    lineno = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "%":
+            continue
+        if parts[0][0] == "*":
+            key = parts[0].lower()
+            if key not in _SECTIONS:
+                raise ParseError(f"unsupported section {parts[0]!r}", lineno)
+            if key == "*vertices":
+                if n_declared is not None:
+                    raise ParseError("duplicate *Vertices header", lineno)
+                try:
+                    n_declared = int(parts[1])
+                except (IndexError, ValueError):
+                    raise ParseError(f"malformed header {raw.strip()!r}", lineno) from None
+                if n_declared < 0:
+                    raise ParseError("negative vertex count", lineno)
+                if n_declared > graph._MAX_VERTICES:  # read at call time: tests lower it
+                    raise ParseError(f"vertex count above the limit of {graph._MAX_VERTICES}", lineno)
+            elif _SECTIONS[key] and n_declared is None:
+                raise ParseError(f"{parts[0]} before *Vertices", lineno)
+            section = _SECTIONS[key] or section
+        elif section == "vertex":
+            check_id(parts[0], lineno)
+        elif section == "pair":
+            if len(parts) < 2:
+                raise ParseError(f"expected 'u v [weight]', got {raw.strip()!r}", lineno)
+            u, v = check_id(parts[0], lineno), check_id(parts[1], lineno)
+            if len(parts) >= 3:
+                try:
+                    float(parts[2])  # weight: validated, then ignored
+                except ValueError:
+                    raise ParseError(f"non-numeric weight {parts[2]!r}", lineno) from None
+            pairs.append((u, v))
+        elif section == "list":
+            u = check_id(parts[0], lineno)
+            pairs.extend((u, check_id(token, lineno)) for token in parts[1:])
+        else:
+            raise ParseError(f"content before any section header: {raw.strip()!r}", lineno)
+
+    if n_declared is None:
+        raise ParseError("missing *Vertices header", lineno or 1)
+    return Graph(pairs, nodes=range(1, n_declared + 1))

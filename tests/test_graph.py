@@ -20,7 +20,8 @@ from tricent import (
     triangles_at,
 )
 
-from conftest import KARATE_EDGES, random_graph
+from conftest import DATA_DIR, KARATE_EDGES, assert_reads_alike, random_graph
+from oracles import oracle_parse_edgelist, oracle_parse_pajek
 
 
 # ---------------------------------------------------------------- Graph basics
@@ -264,8 +265,6 @@ def test_load_graph_format_resolution(tmp_path):
 
 def test_load_graph_karate_file(karate):
     # the committed dataset must equal the embedded canonical edge list
-    from conftest import DATA_DIR
-
     assert load_graph(DATA_DIR / "karate.net") == karate
 
 
@@ -310,10 +309,130 @@ def test_parse_pajek_rejects_vertex_count_above_limit(monkeypatch):
     assert (str(err.value), err.value.line) == ("line 2: vertex count above the limit of 5", 2)
 
 
-# ------------------------------------------------------------------- subgraphs
-
+# ------------------------------------------------------ readers vs the oracle
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+READ_AS = {".net": (parse_pajek, oracle_parse_pajek), ".edges": (parse_edgelist, oracle_parse_edgelist)}
+
+
+def _plain_files(rng: random.Random):
+    """A plain Pajek file and a plain edge list of 2000 edges each, which the
+    whole-body readers take without the line scan."""
+    n = 600
+    pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(2000)]
+    vertices = "".join(f'{v} "v {v}" 0.5 0.5\n' for v in range(1, n + 1))
+    edges = ["".join(f"{u} {v}\n" if k % 7 else f"\t{u}\t {v} \n\n" for k, (u, v) in part)
+             for part in (list(enumerate(pairs))[:700], list(enumerate(pairs))[700:])]
+    pajek = f"*Network plain\n*Vertices {n}\n{vertices}*Edges\n{edges[0]}\n*arcs\n{edges[1]}"
+    labels = [rng.randint(-(10**18) + 1, 10**18 - 1) for _ in range(n)]  # at most 18 digits
+    edgelist = "".join(f"{labels[u - 1]} {labels[v - 1]}\n" for u, v in pairs)
+    return [(".net", pajek), (".net", pajek.replace("\n", "\r\n")), (".edges", edgelist)]
+
+
+def _reader_seeds():
+    files = [DATA_DIR / "karate.net", GOLDEN / "hk-332.net", GOLDEN / "toy.edges",
+             GOLDEN / "deep.edges", GOLDEN / "wide-labels.edges"]
+    return [(p.suffix, p.read_text()) for p in files] + _plain_files(random.Random(3))
+
+
+# What each kind of mutation puts into a file. Apart from self-loops, each can
+# make a body that the whole-body readers must send to the line scan.
+READER_TOKENS = {
+    "hash": ["#", "# c", "1#", "#2"],
+    "int-forms": ["1_0", "+5", "-0", "007", "\u0663", "\uff11\uff12", "0x1", "1.0", "-", "--1"],
+    "beyond-int64": [str(2**63), str(2**63 - 1), str(-(2**63) - 1), "1" * 25, "0" * 20 + "1"],
+    "line-breaks": ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r", "\r\n"],
+    "weighted": [" 1.5", " 2", " x", " 1e3", " -inf", "\t7"],
+}
+
+
+def _mutate_reader_input(rng: random.Random, kind: str, text: str) -> str:
+    lines = text.split("\n")
+    at = rng.randrange(len(lines))
+    if kind == "self-loop":
+        # often a label on no other line: the node must still exist, without the loop
+        label = rng.choice([3, 7, 590])
+        lines.insert(at if lines[at][:1].isdigit() else len(lines), f"{label} {label}")
+    elif kind == "line-breaks":
+        spot = rng.randrange(len(text) + 1)
+        return text[:spot] + rng.choice(READER_TOKENS[kind]) + text[spot:]
+    elif kind == "weighted":
+        lines[at] += rng.choice(READER_TOKENS[kind])
+    elif kind in READER_TOKENS:
+        tokens = lines[at].split(" ")
+        spot = rng.randrange(len(tokens))
+        tokens[spot : spot + rng.randint(0, 1)] = [rng.choice(READER_TOKENS[kind])]
+        lines[at] = " ".join(tokens)
+    else:  # a span of characters deleted or repeated
+        spot = rng.randrange(len(text) + 1)
+        span = rng.randint(1, 40)
+        return text[:spot] + (text[spot : spot + span] * 2 if rng.random() < 0.5 else "") + text[spot + span :]
+    return "\n".join(lines)
+
+
+# bodies at the edge of plain: one column, three columns, stray signs, no rows
+READER_EDGE_CASES = [
+    (parse_edgelist, text) for text in
+    ["", "\n \t\n", "1 2 3\n", "1 2 3\n4 5 6\n", "1\n", "-\n", " - \n", "1 -\n", "-1 -2\n", "3 3\n",
+     "1 2\r\n3 4\r\n", "1 2\r3 4\n", "1\r2\n", "1 2\x0c3 4\n", "1 2\n\x0c\n", f"{2**63 - 1} 1\n", f"{2**63} 1\n"]
+] + [
+    (parse_pajek, "*Vertices 4\n" + text) for text in
+    ["*Edges\n", "*Edges\n1 2 1.0\n2 3 1.0\n", "*Edges\n1\n2\n", "*Arcs\n4 4\n*Edges\n\n",
+     "1\n2 \"b\"\n*Edges\n1 2\n", "0 \"a\"\n*Edges\n1 2\n", "*Edges\n1 5\n", "*Edges\n0 1\n",
+     "*Edges\n-1 2\n", "*Edges\n1 2\n*Vertices 4\n", "*Network x\n*Edges\n1 2\n", "% c\n*Edges\n1 2\n",
+     "*Edges\n1 2\n*Edgeslist\n1 2 3\n", "*Edges\n1 2\n *arcs x\n3 4\n", "5 \"a*b\"\n*Edges\n1 2\n"]
+] + [(parse_pajek, "*Network x\n\n*Vertices 2\n*Edges\n1 2\n"), (parse_pajek, "x\n*Vertices 2\n"),
+     (parse_pajek, "\n*Network x\ny\n*Vertices 2\n"), (parse_pajek, "*Vertices 2 7\n*Edges\n1 2\n"),
+     (parse_pajek, "*Edges\n1 2\n*Vertices 2\n"), (parse_pajek, "*Arcs\n\n*Vertices 2\n")]
+
+
+@pytest.mark.parametrize("reader, text", READER_EDGE_CASES)
+def test_readers_agree_with_the_line_scan_oracle_at_the_edge_of_plain(reader, text):
+    oracle = oracle_parse_pajek if reader is parse_pajek else oracle_parse_edgelist
+    assert_reads_alike(reader, oracle, text)
+
+
+def test_readers_agree_with_the_line_scan_oracle_on_mutated_inputs(monkeypatch):
+    from tricent import graph
+
+    monkeypatch.setattr(graph, "_MAX_VERTICES", 5000)  # no mutated count allocates much
+    scans = []
+    for name in ("_scan_pajek", "_scan_edgelist"):
+        scan = getattr(graph, name)
+        monkeypatch.setattr(graph, name, lambda text, scan=scan: scans.append(scan) or scan(text))
+    rng = random.Random(11)
+    seeds = _reader_seeds()
+    for suffix, text in seeds:
+        assert_reads_alike(*READ_AS[suffix], text)
+    assert len(scans) == 3  # toy, deep and wide-labels hold comments
+    for kind in [*READER_TOKENS, "self-loop", "span"]:
+        for k, (suffix, text) in enumerate(seeds):
+            for _ in range(4):
+                scanned = len(scans)
+                assert_reads_alike(*READ_AS[suffix], _mutate_reader_input(rng, kind, text))
+                if kind == "self-loop" and k >= len(seeds) - 3:  # the generated plain files
+                    assert len(scans) == scanned, "a plain file with a self-loop took the line scan"
+
+
+def test_plain_files_skip_the_line_scan(monkeypatch, tmp_path):
+    # plain input falling back to the line scan would be correct, and slow
+    from tricent import graph
+
+    def refuse(text):
+        raise AssertionError("the line scan ran on a plain file")
+
+    monkeypatch.setattr(graph, "_scan_pajek", refuse)
+    monkeypatch.setattr(graph, "_scan_edgelist", refuse)
+    for k, (suffix, text) in enumerate([*_plain_files(random.Random(5)), (".net", "*Vertices 3\n")]):
+        path = tmp_path / f"plain{k}{suffix}"
+        path.write_bytes(text.encode())
+        assert load_graph(path).node_count > 0
+    assert load_graph(DATA_DIR / "karate.net") == Graph(KARATE_EDGES)
+    assert load_graph(GOLDEN / "hk-332.net").edge_count == 1956
+
+
+# ------------------------------------------------------------------- subgraphs
+
 SUBGRAPH_CASES = {
     "karate": lambda: Graph(KARATE_EDGES),
     "hk-332": lambda: load_graph(GOLDEN / "hk-332.net"),

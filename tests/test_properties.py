@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
@@ -15,14 +16,18 @@ from tricent import (  # noqa: E402
     Graph,
     Measure,
     ScoreVector,
+    graph,
     pagerank,
+    parse_edgelist,
+    parse_pajek,
     rank_top_k,
     sdeg,
     triangle_neighbors,
     triangles_at,
 )
 
-from conftest import random_graph  # noqa: E402
+from conftest import assert_reads_alike, random_graph  # noqa: E402
+from oracles import oracle_parse_edgelist, oracle_parse_pajek  # noqa: E402
 
 # ----------------------------------------------------------------------- graph
 
@@ -42,6 +47,41 @@ def test_gamma_members_subset_of_neighbors(n, p):
     g = random_graph(random.Random(int(p * 1e6) + n), n, p)
     for v in g.nodes:
         assert triangle_neighbors(g, v) <= g.neighbors(v)
+
+
+# Lines of two small ints, which the whole-body readers take, mixed with a
+# few section headers, odd lines and one odd line end.
+_ODD_TOKENS = ["007", "+5", "-0", "1_0", "\u0663", "1.5", "#", "%", "-", "x", '"v"', str(2**63),
+               str(2**63 - 1), "*Edges", "*arcs", "*Vertices", "*Network", "*Edgeslist"]
+_ODD_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_PAIR_LINES = st.tuples(
+    st.sampled_from(["", " ", "\t"]), st.integers(1, 7), st.sampled_from([" ", "\t", "  "]), st.integers(1, 7)
+).map(lambda parts: "".join(map(str, parts)))
+_ODD_LINES = st.lists(st.one_of(st.integers(-2, 12).map(str), st.sampled_from(_ODD_TOKENS)), max_size=4).map(" ".join)
+_HEADS = st.sampled_from(["", "*Vertices 6", "*Network n\n*vertices 8", "% c\n*Vertices 9", " *Vertices 7 7"])
+_SECTIONS = st.sampled_from(["*Edges", "*Arcs", " *edges x", "*Edgeslist", "*Network"])
+
+
+@st.composite
+def reader_texts(draw):
+    """Pairs under a *Vertices header; the pairs before the first section
+    header, if one is drawn, are vertex lines (an id and a label)."""
+    lines = draw(st.lists(_PAIR_LINES, max_size=25))
+    for odd in draw(st.lists(st.one_of(_ODD_LINES, _SECTIONS, _SECTIONS), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    text = "".join(line + "\n" for line in [draw(_HEADS), *lines]).lstrip("\n")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_ODD_ENDS)) + text[at:]
+    return text
+
+
+@given(reader_texts())
+@settings(max_examples=300, deadline=None)
+def test_readers_agree_with_the_line_scan_oracle(text):
+    with mock.patch.object(graph, "_MAX_VERTICES", 200):  # no drawn count allocates much
+        assert_reads_alike(parse_pajek, oracle_parse_pajek, text)
+        assert_reads_alike(parse_edgelist, oracle_parse_edgelist, text)
 
 
 # -------------------------------------------------------------------- measures
