@@ -38,6 +38,7 @@ CASES = {
     "compare": ("compare", KARATE, "--k", "5"),
     "compare-tc-tr": ("compare", KARATE, "--measures", "TC,TR"),
     "info": ("info", KARATE),
+    "info-hk": ("info", HK),
     "ablate": ("ablate", KARATE, TOY, "--plot-series", "--random-baseline"),
 }
 

@@ -1,9 +1,11 @@
-"""Every measure against networkx on seeded random graphs of up to 300 nodes.
+"""Every measure against networkx on seeded random graphs of up to 300 nodes,
+and TR and SDEG also on one 2500-node graph with hubs.
 
 networkx is an independent implementation of TR, DC, BC, CNC, PR and EC, so
 these tests reach sizes the brute-force oracles in ``oracles.py`` cannot.
-TC and SDEG have no networkx counterpart; they are checked against the
-per-node set primitives ``triangles_at`` and ``triangle_neighbors``.
+SDEG is read off ``nx.common_neighbors``. TC has no networkx counterpart; it
+is checked against the per-node set primitives ``triangles_at`` and
+``triangle_neighbors``.
 """
 
 from __future__ import annotations
@@ -106,6 +108,28 @@ def test_triangles_degree_closeness_exact(case):
     assert {v: tr[v] for v in g.nodes} == {v: float(t) for v, t in nx.triangles(h).items()}
     assert {v: dc[v] for v in g.nodes} == {v: float(d) for v, d in h.degree()}
     assert {v: cnc[v] for v in g.nodes} == nx.closeness_centrality(h, wf_improved=True)
+
+
+def nx_sdeg(h) -> dict:
+    """Per node, how many of its neighbours it shares a common neighbour with."""
+    return {v: float(sum(1 for j in h[v] if set(nx.common_neighbors(h, v, j)))) for v in h}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_sdeg_matches_networkx(case):
+    g = case_graph(case)
+    sd = sdeg_centrality(g)
+    assert {v: sd[v] for v in g.nodes} == nx_sdeg(to_nx(g))
+
+
+def test_tr_and_sdeg_match_networkx_on_a_large_graph_with_hubs():
+    rng = random.Random(2024)
+    g = Graph(triad_rich(rng, rng.sample(range(-10**6, 10**6), 2500), 4))
+    h = to_nx(g)
+    tr, sd = triangle_count_centrality(g), sdeg_centrality(g)
+    assert max(d for _, d in h.degree()) > 100
+    assert {v: tr[v] for v in g.nodes} == {v: float(t) for v, t in nx.triangles(h).items()}
+    assert {v: sd[v] for v in g.nodes} == nx_sdeg(h)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -20,7 +20,7 @@ from tricent import (
     triangles_at,
 )
 
-from conftest import DATA_DIR, KARATE_EDGES, assert_reads_alike, random_graph
+from conftest import DATA_DIR, KARATE_EDGES, assert_reads_alike, random_graph, triad_rich
 from oracles import oracle_parse_edgelist, oracle_parse_pajek
 
 
@@ -124,15 +124,25 @@ def test_triangle_free_graph():
     assert all(len(triangle_neighbors(g, v)) == 0 for v in g.nodes)
 
 
-@pytest.mark.parametrize("block_work", [1, 50, 1 << 17])
+@pytest.mark.parametrize("block_work", [1, 50, 1 << 17, 1 << 40])
 def test_triangle_pass_matches_per_node_primitives(monkeypatch, block_work):
-    # the whole-graph pass must not depend on where its row blocks are cut
+    # the whole-graph pass must not depend on where its blocks are cut, nor on
+    # how degree ties and labels order the nodes it renumbers by degree
     from tricent import graph
 
     monkeypatch.setattr(graph, "_BLOCK_WORK", block_work)
     rng = random.Random(block_work)
-    for n, p in [(0, 0.0), (1, 0.0), (9, 0.5), (40, 0.2), (120, 0.08)]:
-        g = random_graph(rng, n, p)
+    shuffled = random.Random(3).sample(range(-500, 500), 300)
+    graphs = [
+        Graph(), Graph(nodes=[4]), Graph(nodes=range(1, 6)),  # n = 0, n = 1, edgeless
+        Graph([(v, v % 12 + 1) for v in range(1, 13)]),  # ring: every degree ties
+        Graph(combinations(range(1, 6), 2)),  # K5
+        Graph([(0, v) for v in range(1, 8)] + [(1, 2)], nodes=[-3, 30]),  # star, isolated nodes
+        load_graph(Path(__file__).resolve().parent / "golden" / "wide-labels.edges"),
+        Graph(triad_rich(random.Random(4), shuffled, 4)),  # hubs under shuffled labels
+        *(random_graph(rng, n, p) for n, p in [(9, 0.5), (40, 0.2), (120, 0.08)]),
+    ]
+    for g in graphs:
         triangles, sdeg = graph._triangle_counts(g)
         assert triangles.tolist() == [triangles_at(g, v) for v in g.nodes]
         assert sdeg.tolist() == [len(triangle_neighbors(g, v)) for v in g.nodes]

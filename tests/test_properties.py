@@ -107,6 +107,21 @@ def test_triangle_sum_identity(n, p, seed):
     assert sum(triangles_at(g, v) for v in g.nodes) == 3 * triple_count
 
 
+@given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_triangle_pass_follows_relabelling(n, p, seed):
+    # the pass renumbers nodes by degree, then maps its counts back to labels
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    relabel = dict(zip(g.nodes, rng.sample(range(-1000, 1000), n)))
+    h = Graph([(relabel[u], relabel[v]) for u, v in g.edges()], nodes=relabel.values())
+
+    def counts(g):
+        return dict(zip(g.nodes, zip(*(c.tolist() for c in graph._triangle_counts(g)))))
+
+    assert {relabel[v]: c for v, c in counts(g).items()} == counts(h)
+
+
 @given(st.integers(2, 12), st.floats(0.1, 0.9), st.integers(0, 2**16))
 @settings(max_examples=40, deadline=None)
 def test_pagerank_always_sums_to_one(n, p, seed):
