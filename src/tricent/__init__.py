@@ -22,7 +22,6 @@ from .graph import (
 from .measures import (
     ConvergenceError,
     Measure,
-    ScoreVector,
     betweenness_centrality,
     closeness_centrality,
     compute,
@@ -55,7 +54,6 @@ __all__ = [
     "Measure",
     "NodeId",
     "ParseError",
-    "ScoreVector",
     "UnknownNodeError",
     "__version__",
     "betweenness_centrality",

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .graph import Graph, NodeId, _density
-from .measures import Measure, ScoreVector, _require_nonempty, compute
+from .measures import Measure, _require_nonempty, compute
 
 # Column order used by every comparison table and removal report.
 COMPARISON_MEASURES: Tuple[Measure, ...] = (
@@ -50,7 +50,7 @@ def _check_k(g: Graph, k: int, where: str = "") -> None:
         raise ValueError(f"{where}k={k} leaves 1 of {n} nodes; residual density needs 2")
 
 
-def rank_top_k(scores: ScoreVector, k: int) -> List[NodeId]:
+def rank_top_k(scores: Mapping[NodeId, float], k: int) -> List[NodeId]:
     """First min(k, n) nodes by descending score, ties by ascending label."""
     if k < 0:
         raise ValueError("k must be nonnegative")

@@ -236,9 +236,18 @@ def _scan_edgelist(text: str) -> Graph:
     return Graph(pairs)
 
 
+# where str.splitlines ends a line, besides "\n" and "\r\n"
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _lf(text: str) -> str:
-    """``text`` with its CRLF line ends as LF, which str.splitlines treats alike."""
-    return text.replace("\r\n", "\n") if "\r" in text else text
+    """``text`` with every line end that str.splitlines knows as LF, so that line
+    k of ``text`` is line k of the result. CRLF is replaced only when no other
+    break is left, since "\\r\\r\\n" ends two lines."""
+    lf = text.replace("\r\n", "\n") if "\r" in text else text
+    if any(c in lf for c in _LINE_BREAKS):
+        return "".join(line + "\n" for line in text.splitlines())
+    return lf
 
 
 # Maps digits to b"0" and tabs to spaces. A body that becomes only b"0", b" ",
@@ -275,9 +284,6 @@ _SECTIONS = {
 # bytes of peak memory even when isolated, so this allows about 1.7 GB.
 _MAX_VERTICES = 10**7
 
-# where str.splitlines ends a line, besides "\n" and "\r\n"
-_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
 
 def parse_pajek(text: str) -> Graph:
     """Read a Pajek ``.net`` description into an undirected simple graph.
@@ -291,93 +297,84 @@ def parse_pajek(text: str) -> Graph:
     file's 1-based integers; ids outside 1..n, and n above ``_MAX_VERTICES``,
     raise :class:`ParseError`.
     """
-    g = _plain_pajek(_lf(text))
-    return _scan_pajek(text) if g is None else g
-
-
-def _plain_pajek(text: str) -> Graph | None:
-    """The graph of a file that holds an optional bare ``*Network`` line, one
-    ``*Vertices n`` section whose lines start with ids in 1..n, then ``*Edges``
-    and ``*Arcs`` sections with plain bodies (see _plain_pairs); None for any
-    other file. Label v is row v - 1."""
-    if any(c in text for c in _LINE_BREAKS):
-        return None
+    lf = _lf(text)
     heads = []  # (start, end) of each line whose first token starts with "*"
-    at = text.find("*")
+    at = lf.find("*")
     while at >= 0:
-        start, end = text.rfind("\n", 0, at) + 1, text.find("\n", at) + 1 or len(text)
-        if not text[start:at].strip():
+        start, end = lf.rfind("\n", 0, at) + 1, lf.find("\n", at) + 1 or len(lf)
+        if not lf[start:at].strip():
             heads.append((start, end))
-        at = text.find("*", end)
-    if not heads or text[: heads[0][0]].strip():
-        return None
-    n, ends = None, [np.empty((0, 2), np.int64)]
-    stops = [start for start, _ in heads[1:]] + [len(text)]
-    for i, ((start, end), stop) in enumerate(zip(heads, stops)):
-        parts, body = text[start:end].split(), text[end:stop]
+        at = lf.find("*", end)
+    n, section, lineno, body, ends = None, None, 1, 0, []
+    for start, end in [*heads, (len(lf), None)]:
+        ends.append(_pajek_body(lf[body:start], section, n, lineno))
+        if end is None:
+            break
+        lineno += lf.count("\n", body, start)
+        raw = lf[start:end]
+        parts = raw.split()
         key = parts[0].lower()
-        if key == "*network" and i == 0 and not body.strip():
-            continue
-        if key == "*vertices" and n is None:
+        if key not in _SECTIONS:
+            raise ParseError(f"unsupported section {parts[0]!r}", lineno)
+        if key == "*vertices":
+            if n is not None:
+                raise ParseError("duplicate *Vertices header", lineno)
             try:
                 n = int(parts[1])
-                ids = [int(p[0]) for p in map(str.split, body.split("\n")) if p]
             except (IndexError, ValueError):
-                return None
-            if not 0 <= n <= _MAX_VERTICES or not all(1 <= v <= n for v in ids):
-                return None
-        elif key in ("*edges", "*arcs") and n is not None:
-            pairs = _plain_pairs(body)
-            if pairs is None or pairs.size and not (pairs.min() >= 1 and pairs.max() <= n):
-                return None
-            ends.append(pairs)
-        else:
-            return None
+                raise ParseError(f"malformed header {raw.strip()!r}", lineno) from None
+            if n < 0:
+                raise ParseError("negative vertex count", lineno)
+            if n > _MAX_VERTICES:
+                raise ParseError(f"vertex count above the limit of {_MAX_VERTICES}", lineno)
+        elif _SECTIONS[key] and n is None:
+            raise ParseError(f"{parts[0]} before *Vertices", lineno)
+        section, body, lineno = _SECTIONS[key] or section, end, lineno + 1
     if n is None:
-        return None
+        raise ParseError("missing *Vertices header", len(text.splitlines()) or 1)
+    # label v is row v - 1
     return Graph._of(list(range(1, n + 1)), _adjacency(n, np.concatenate(ends) - 1))
 
 
-def _scan_pajek(text: str) -> Graph:
-    """parse_pajek one line at a time: any input, and the line of an error."""
-    n_declared: int | None = None
+def _pajek_body(body: str, section: str | None, n: int | None, lineno: int) -> np.ndarray:
+    """The (u, v) rows of one section body, whose first line is line ``lineno``.
+    Read whole: an *Edges or *Arcs body that _plain_pairs reads, with every id
+    in 1..n; a *Vertices body whose lines, comments aside, all start with an id
+    in 1..n; and a body before the first section that holds only comments. Any
+    other body goes to _scan_body."""
+    if section == "pair":
+        pairs = _plain_pairs(body)
+        if pairs is not None and (not pairs.size or pairs.min() >= 1 and pairs.max() <= n):
+            return pairs
+    elif section != "list":
+        firsts = [p[0] for p in map(str.split, body.split("\n")) if p and p[0][0] != "%"]
+        try:
+            if not firsts or section and all(1 <= int(t) <= n for t in firsts):
+                return np.empty((0, 2), np.int64)
+        except ValueError:
+            pass
+    return _scan_body(body, section, n, lineno)
+
+
+def _scan_body(body: str, section: str | None, n: int | None, lineno: int) -> np.ndarray:
+    """_pajek_body one line at a time: any body, and the line of an error."""
     pairs: list[Tuple[NodeId, NodeId]] = []
-    section: str | None = None
 
     def check_id(token: str, lineno: int) -> int:
         try:
             vid = int(token)
         except ValueError:
             raise ParseError(f"non-numeric vertex id {token!r}", lineno) from None
-        assert n_declared is not None
-        if not 1 <= vid <= n_declared:
-            raise ParseError(f"vertex id {vid} outside 1..{n_declared}", lineno)
+        assert n is not None
+        if not 1 <= vid <= n:
+            raise ParseError(f"vertex id {vid} outside 1..{n}", lineno)
         return vid
 
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(body.split("\n"), start=lineno):
         parts = raw.split()
         if not parts or parts[0][0] == "%":
             continue
-        if parts[0][0] == "*":
-            key = parts[0].lower()
-            if key not in _SECTIONS:
-                raise ParseError(f"unsupported section {parts[0]!r}", lineno)
-            if key == "*vertices":
-                if n_declared is not None:
-                    raise ParseError("duplicate *Vertices header", lineno)
-                try:
-                    n_declared = int(parts[1])
-                except (IndexError, ValueError):
-                    raise ParseError(f"malformed header {raw.strip()!r}", lineno) from None
-                if n_declared < 0:
-                    raise ParseError("negative vertex count", lineno)
-                if n_declared > _MAX_VERTICES:
-                    raise ParseError(f"vertex count above the limit of {_MAX_VERTICES}", lineno)
-            elif _SECTIONS[key] and n_declared is None:
-                raise ParseError(f"{parts[0]} before *Vertices", lineno)
-            section = _SECTIONS[key] or section
-        elif section == "vertex":
+        if section == "vertex":
             check_id(parts[0], lineno)
         elif section == "pair":
             if len(parts) < 2:
@@ -394,10 +391,7 @@ def _scan_pajek(text: str) -> Graph:
             pairs.extend((u, check_id(token, lineno)) for token in parts[1:])
         else:
             raise ParseError(f"content before any section header: {raw.strip()!r}", lineno)
-
-    if n_declared is None:
-        raise ParseError("missing *Vertices header", lineno or 1)
-    return Graph(pairs, nodes=range(1, n_declared + 1))
+    return np.array(pairs, np.int64).reshape(-1, 2)
 
 
 def load_graph(path: str | Path, fmt: str = "auto") -> Graph:

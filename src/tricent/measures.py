@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -36,34 +35,14 @@ class Measure(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """One finite score per node of the source graph, for one measure."""
-
-    measure: Measure
-    scores: Mapping[NodeId, float]
-
-    def __getitem__(self, node: NodeId) -> float:
-        return self.scores[node]
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def __iter__(self) -> Iterator[NodeId]:
-        return iter(self.scores)
-
-    def items(self) -> Iterator[Tuple[NodeId, float]]:
-        return iter(self.scores.items())
-
-
 def _require_nonempty(g: Graph) -> None:
     if g.node_count == 0:
         raise ValueError("measure needs a nonempty graph")
 
 
-def _scores(measure: Measure, g: Graph, values: Iterable[float]) -> ScoreVector:
+def _scores(g: Graph, values: Iterable[float]) -> Dict[NodeId, float]:
     """Scores given in node order (the adjacency's row order), as Python floats."""
-    return ScoreVector(measure, dict(zip(g.nodes, np.asarray(values, dtype=float).tolist())))
+    return dict(zip(g.nodes, np.asarray(values, dtype=float).tolist()))
 
 
 def sdeg(g: Graph, i: NodeId) -> int:
@@ -71,7 +50,7 @@ def sdeg(g: Graph, i: NodeId) -> int:
     return len(triangle_neighbors(g, i))
 
 
-def tr_centrality(g: Graph) -> ScoreVector:
+def tr_centrality(g: Graph) -> Dict[NodeId, float]:
     """Tr-centrality: a mobility-style influence score on triangle neighborhoods.
 
     For node i, let gamma_i be its triangle-connected neighbors (sdeg_i =
@@ -91,25 +70,25 @@ def tr_centrality(g: Graph) -> ScoreVector:
     """
     _require_nonempty(g)
     triangles, sizes = _triangle_counts(g)
-    return _scores(Measure.TC, g, 0.01 * (3 * sizes + triangles - 2))
+    return _scores(g, 0.01 * (3 * sizes + triangles - 2))
 
 
-def sdeg_centrality(g: Graph) -> ScoreVector:
-    """Triangle-neighborhood sizes as a score vector."""
+def sdeg_centrality(g: Graph) -> Dict[NodeId, float]:
+    """Triangle-neighborhood size (sdeg) of every node."""
     _require_nonempty(g)
-    return _scores(Measure.SDEG, g, _triangle_counts(g)[1])
+    return _scores(g, _triangle_counts(g)[1])
 
 
-def triangle_count_centrality(g: Graph) -> ScoreVector:
+def triangle_count_centrality(g: Graph) -> Dict[NodeId, float]:
     """Per-node count of incident triangles."""
     _require_nonempty(g)
-    return _scores(Measure.TR, g, _triangle_counts(g)[0])
+    return _scores(g, _triangle_counts(g)[0])
 
 
-def degree_centrality(g: Graph) -> ScoreVector:
+def degree_centrality(g: Graph) -> Dict[NodeId, float]:
     """Plain degree (number of direct links)."""
     _require_nonempty(g)
-    return _scores(Measure.DC, g, np.diff(g._adj.indptr))
+    return _scores(g, np.diff(g._adj.indptr))
 
 
 # Distance cells per block of sources, each block a (width, n) array; shared
@@ -161,7 +140,7 @@ def _brandes_source(s: int, nbrs: List[List[int]], acc: List[float]) -> None:
             acc[w] += delta[w]
 
 
-def betweenness_centrality(g: Graph) -> ScoreVector:
+def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
     """Shortest-path betweenness over unordered node pairs (Brandes).
 
     Each node's score is the sum over pairs (s, t) of the fraction of
@@ -204,10 +183,10 @@ def betweenness_centrality(g: Graph) -> ScoreVector:
         acc += delta.sum(axis=1)
     # every unordered pair was accumulated from both endpoints
     scale = 1.0 / ((n - 1) * (n - 2)) if n >= 3 else 0.5
-    return _scores(Measure.BC, g, acc * scale)
+    return _scores(g, acc * scale)
 
 
-def closeness_centrality(g: Graph) -> ScoreVector:
+def closeness_centrality(g: Graph) -> Dict[NodeId, float]:
     """Closeness with reachable-component scaling.
 
     With r(i) nodes reachable from i (excluding i) at total shortest-path
@@ -223,10 +202,10 @@ def closeness_centrality(g: Graph) -> ScoreVector:
         total = np.nan_to_num(dist, posinf=0.0).sum(axis=1)
         # a node that reaches nothing has reached = total = 0 and scores 0.0
         out.append((reached / max(n - 1, 1)) * (reached / np.maximum(total, 1.0)))
-    return _scores(Measure.CNC, g, np.concatenate(out))
+    return _scores(g, np.concatenate(out))
 
 
-def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -> ScoreVector:
+def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -> Dict[NodeId, float]:
     """Principal-eigenvector scores by power iteration from the uniform vector.
 
     Returns x with unit Euclidean length and nonnegative entries satisfying
@@ -238,7 +217,7 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if g.edge_count == 0:
-        return _scores(Measure.EC, g, [0.0] * g.node_count)
+        return _scores(g, [0.0] * g.node_count)
     n = g.node_count
     x = np.full(n, 1.0 / math.sqrt(n))
     residual = math.inf
@@ -247,7 +226,7 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -
         lam = float(x @ ax)
         residual = float(np.max(np.abs(ax - lam * x)))
         if residual < tol:
-            return _scores(Measure.EC, g, x)
+            return _scores(g, x)
         y = ax + x
         x = y / float(np.linalg.norm(y))
     raise ConvergenceError(f"eigenvector iteration did not converge in {max_iter} steps", residual)
@@ -258,7 +237,7 @@ def pagerank(
     damping: float = 0.85,
     tol: float = 1e-10,
     max_iter: int = 1000,
-) -> ScoreVector:
+) -> Dict[NodeId, float]:
     """PageRank on the undirected graph, every edge acting in both directions.
 
     Fixed point of PR(i) = (1-d)/n + d * sum_{j ~ i} PR(j)/deg(j), with the
@@ -284,7 +263,7 @@ def pagerank(
         change = float(np.max(np.abs(nxt - rank)))
         rank = nxt
         if change < tol:
-            return _scores(Measure.PR, g, rank)
+            return _scores(g, rank)
     raise ConvergenceError(f"pagerank did not converge in {max_iter} steps", change)
 
 
@@ -295,7 +274,7 @@ def compute(
     damping: float = 0.85,
     tol: float = 1e-10,
     max_iter: int = 1000,
-) -> ScoreVector:
+) -> Dict[NodeId, float]:
     """Uniform dispatch: compute any :class:`Measure` over ``g``.
 
     The numeric parameters only affect EC (tol, max_iter) and PR (all three).

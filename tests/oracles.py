@@ -12,7 +12,7 @@ from collections import deque
 from itertools import combinations
 from typing import Dict, List, Tuple
 
-from tricent import Graph, Measure, NodeId, ParseError, ScoreVector, graph
+from tricent import Graph, NodeId, ParseError, graph
 
 
 def oracle_triangles(g: Graph) -> Dict[NodeId, int]:
@@ -70,7 +70,7 @@ def _all_shortest_paths(g: Graph, s: NodeId, t: NodeId) -> List[Tuple[NodeId, ..
     return paths
 
 
-def oracle_betweenness(g: Graph) -> ScoreVector:
+def oracle_betweenness(g: Graph) -> Dict[NodeId, float]:
     """Betweenness by full shortest-path enumeration (n <= 8, connected)."""
     if g.node_count > 8:
         raise ValueError("oracle_betweenness is limited to 8 nodes")
@@ -88,10 +88,10 @@ def oracle_betweenness(g: Graph) -> ScoreVector:
             pair_sum[v] += through / len(paths)
     n = g.node_count
     scale = 2.0 / ((n - 1) * (n - 2)) if n >= 3 else 1.0
-    return ScoreVector(Measure.BC, {v: pair_sum[v] * scale for v in g.nodes})
+    return {v: pair_sum[v] * scale for v in g.nodes}
 
 
-def oracle_closeness(g: Graph) -> ScoreVector:
+def oracle_closeness(g: Graph) -> Dict[NodeId, float]:
     """Closeness by one breadth-first search per source, in exact integers.
 
     Same formula as the library: (r/(n-1)) * (r/S) with r nodes reachable at
@@ -110,7 +110,7 @@ def oracle_closeness(g: Graph) -> ScoreVector:
                     queue.append(w)
         reached, total = len(dist) - 1, sum(dist.values())
         scores[s] = (reached / (n - 1)) * (reached / total) if reached > 0 else 0.0
-    return ScoreVector(Measure.CNC, scores)
+    return scores
 
 
 def oracle_parse_edgelist(text: str) -> Graph:

@@ -16,7 +16,6 @@ import pytest
 from tricent import (
     Graph,
     Measure,
-    ScoreVector,
     betweenness_centrality,
     comparison_table,
     compute,
@@ -230,11 +229,11 @@ def test_criterion_5_property_suites(karate, gate):
             scores = compute(karate, measure)
             order = rank_top_k(scores, karate.node_count)
             for factor in (0.25, 4.0, 1024.0):
-                scaled = ScoreVector(measure, {v: factor * scores[v] for v in scores})
+                scaled = {v: factor * scores[v] for v in scores}
                 assert rank_top_k(scaled, karate.node_count) == order
-        coarse = ScoreVector(Measure.TC, {v: round(100 * tr_centrality(karate)[v]) / 8 for v in karate.nodes})
+        coarse = {v: round(100 * tr_centrality(karate)[v]) / 8 for v in karate.nodes}
         for factor in (0.001, 3.7, 12000.0):
-            scaled = ScoreVector(Measure.TC, {v: factor * coarse[v] for v in coarse})
+            scaled = {v: factor * coarse[v] for v in coarse}
             assert rank_top_k(scaled, 34) == rank_top_k(coarse, 34)
         # stochastic-vector and residual contracts of the iterative solvers
         tol = 1e-10

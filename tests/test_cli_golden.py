@@ -21,6 +21,8 @@ TOY = str(GOLDEN / "toy.edges")
 HK = str(GOLDEN / "hk-332.net")  # Holme–Kim, 332 nodes / 1956 edges, triad p = 0.7
 WIDE = str(GOLDEN / "wide-labels.edges")  # negative labels and labels above 2**63
 DEEP = str(GOLDEN / "deep.edges")  # diameter 47: BC runs per-source Brandes from every node
+# karate with comments, CRLF, labels, a weighted *Edges line and an *Edgeslist section
+MIXED = str(GOLDEN / "karate-mixed.net")
 
 CASES = {
     "rank-tc": ("rank", KARATE, "--measure", "tc", "--k", "5"),
@@ -36,6 +38,7 @@ CASES = {
     "info-wide": ("info", WIDE),
     "rank-ec-wide": ("rank", WIDE, "--measure", "ec", "--k", "8"),
     "compare": ("compare", KARATE, "--k", "5"),
+    "compare-mixed": ("compare", MIXED, "--k", "5"),
     "compare-tc-tr": ("compare", KARATE, "--measures", "TC,TR"),
     "info": ("info", KARATE),
     "info-hk": ("info", HK),
@@ -64,3 +67,7 @@ def test_golden_bytes_info_empty_edgelist(tmp_path, capsys, fmt):
     code, out, err = run_cli(capsys, ("info", str(empty), "--format", fmt))
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"info-empty.{fmt}").read_text()
+
+
+def test_mixed_pajek_file_reads_as_karate():
+    assert (GOLDEN / "compare-mixed.csv").read_text() == (GOLDEN / "compare.csv").read_text()

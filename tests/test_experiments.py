@@ -11,7 +11,6 @@ from tricent import (
     COMPARISON_MEASURES,
     Graph,
     Measure,
-    ScoreVector,
     betweenness_centrality,
     comparison_table,
     density,
@@ -29,17 +28,17 @@ from oracles import oracle_betweenness, oracle_triangles
 
 
 def test_rank_top_k_tie_break_by_label():
-    scores = ScoreVector(Measure.TC, {1: 0.3, 2: 0.1, 3: 0.3})
+    scores = {1: 0.3, 2: 0.1, 3: 0.3}
     assert rank_top_k(scores, 2) == [1, 3]
 
 
 def test_rank_top_k_overlong_k_gives_full_ordering():
-    scores = ScoreVector(Measure.DC, {4: 1.0, 2: 2.0})
+    scores = {4: 1.0, 2: 2.0}
     assert rank_top_k(scores, 99) == [2, 4]
 
 
 def test_rank_top_k_zero_and_negative():
-    scores = ScoreVector(Measure.DC, {1: 1.0})
+    scores = {1: 1.0}
     assert rank_top_k(scores, 0) == []
     with pytest.raises(ValueError):
         rank_top_k(scores, -1)

@@ -393,7 +393,13 @@ READER_EDGE_CASES = [
      "*Edges\n1 2\n*Edgeslist\n1 2 3\n", "*Edges\n1 2\n *arcs x\n3 4\n", "5 \"a*b\"\n*Edges\n1 2\n"]
 ] + [(parse_pajek, "*Network x\n\n*Vertices 2\n*Edges\n1 2\n"), (parse_pajek, "x\n*Vertices 2\n"),
      (parse_pajek, "\n*Network x\ny\n*Vertices 2\n"), (parse_pajek, "*Vertices 2 7\n*Edges\n1 2\n"),
-     (parse_pajek, "*Edges\n1 2\n*Vertices 2\n"), (parse_pajek, "*Arcs\n\n*Vertices 2\n")]
+     (parse_pajek, "*Edges\n1 2\n*Vertices 2\n"), (parse_pajek, "*Arcs\n\n*Vertices 2\n")
+] + [
+    # line numbers that move when CRLF is replaced before the other line ends
+    # are found ("\r\r\n" ends two lines), or when a final line end is lost
+    (parse_pajek, "*Vertices 2\r\r\n*Edges\r\r\n1 5\r\n"), (parse_pajek, "*Vertices 2\r\r\n*Edges\r\n2 3 x\r\n"),
+    (parse_pajek, "*Vertices 2\r\n*Edges\r\r\n1 2\r\r\n"), (parse_pajek, "% c\n\x0c"), (parse_pajek, "*Network x\r\n\r\n"),
+    (parse_pajek, "*Network x\x85"), (parse_pajek, "\n"), (parse_edgelist, "1 2\r\r\n3\r\n"), (parse_edgelist, "1 2\r\r\n3 4\r\n")]
 
 
 @pytest.mark.parametrize("reader, text", READER_EDGE_CASES)
@@ -407,9 +413,9 @@ def test_readers_agree_with_the_line_scan_oracle_on_mutated_inputs(monkeypatch):
 
     monkeypatch.setattr(graph, "_MAX_VERTICES", 5000)  # no mutated count allocates much
     scans = []
-    for name in ("_scan_pajek", "_scan_edgelist"):
+    for name in ("_scan_body", "_scan_edgelist"):
         scan = getattr(graph, name)
-        monkeypatch.setattr(graph, name, lambda text, scan=scan: scans.append(scan) or scan(text))
+        monkeypatch.setattr(graph, name, lambda *args, scan=scan: scans.append(scan) or scan(*args))
     rng = random.Random(11)
     seeds = _reader_seeds()
     for suffix, text in seeds:
@@ -428,17 +434,73 @@ def test_plain_files_skip_the_line_scan(monkeypatch, tmp_path):
     # plain input falling back to the line scan would be correct, and slow
     from tricent import graph
 
-    def refuse(text):
+    def refuse(*args):
         raise AssertionError("the line scan ran on a plain file")
 
-    monkeypatch.setattr(graph, "_scan_pajek", refuse)
+    monkeypatch.setattr(graph, "_scan_body", refuse)
     monkeypatch.setattr(graph, "_scan_edgelist", refuse)
-    for k, (suffix, text) in enumerate([*_plain_files(random.Random(5)), (".net", "*Vertices 3\n")]):
+    plain = [*_plain_files(random.Random(5)), (".net", "*Vertices 3\n")]
+    # every section stays plain: comments outside *Edges and *Arcs bodies, a
+    # named *Network line, and any line ends str.splitlines knows
+    pajek = plain[0][1]
+    plain += [
+        (".net", "% by hand\n\n*Network two words\n  % next: vertices\n" + pajek.split("\n", 1)[1]),
+        (".net", pajek.replace("\n", "\x0c")),
+        (".net", pajek.replace("\n", "\r\n", 700)),
+        (".net", pajek.replace('" 0.5 0.5\n', '" 0.5 0.5\n% vertex comment\n\n', 9)),
+    ]
+    for k, (suffix, text) in enumerate(plain):
         path = tmp_path / f"plain{k}{suffix}"
         path.write_bytes(text.encode())
-        assert load_graph(path).node_count > 0
+        read, oracle = READ_AS[suffix]
+        assert read(text) == load_graph(path) == oracle(text)  # reading a file maps CRLF to LF
     assert load_graph(DATA_DIR / "karate.net") == Graph(KARATE_EDGES)
     assert load_graph(GOLDEN / "hk-332.net").edge_count == 1956
+
+
+# Every line end str.splitlines knows, and the lines random files are made of:
+# headers valid and not, and body lines plain, weighted, out of range or malformed.
+FUZZ_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+FUZZ_HEADERS = ["*vertices 3", "*Vertices 0", "*Vertices 7", "*Vertices", "*Vertices x", "*Vertices -1",
+                "*Edges", "*arcs", "*Edgeslist", "*ArcsList", "*Network x", "*foo", "%*Edges", "  *Edges 7",
+                "*Vertices 2 7"]
+FUZZ_LINES = ["3\t4", " 2 3 ", "1 2 1.5", "2 3 x", "1 2 -inf", "1 9", "0 1", "-1 2", "4 4", "1", "a b",
+              "1 2 3 4", '1 "a"', "2", '"x"', '5 "a*b"', "% c", "", "  ", "1 2 # c", "# c", "1 -", "007 1",
+              "+2 3", f"{2**63} 1", "-3 -4"]
+
+
+def _fuzz_lines(rng: random.Random, count: int) -> list:
+    return [f"{rng.randint(1, 3)} {rng.randint(1, 3)}" if rng.random() < 0.85 else rng.choice(FUZZ_LINES)
+            for _ in range(count)]
+
+
+def _fuzz_text(rng: random.Random, lines: list) -> str:
+    """``lines`` joined by mostly LF, sometimes another line end, sometimes no final one."""
+    ends = [rng.choice(FUZZ_BREAKS) if rng.random() < 0.2 else "\n" for _ in lines]
+    return "".join(p + e for p, e in zip(lines, ends))[: None if rng.random() < 0.8 else -1]
+
+
+def _fuzz_pajek(rng: random.Random) -> str:
+    """A few sections, most of them well formed, after an optional preamble."""
+    lines = rng.sample(["% c", "", "*Network x", "1 2"], rng.choice([0, 0, 1, 2]))
+    for k in range(rng.choice([0, 1, 2, 2, 3, 4])):
+        if rng.random() < 0.85:
+            lines.append(f"*Vertices {rng.randint(3, 6)}" if k == 0 else rng.choice(["*Edges", "*Arcs", "*Edgeslist"]))
+        else:
+            lines.append(rng.choice(FUZZ_HEADERS))
+        lines += _fuzz_lines(rng, rng.randint(0, 5))
+    return _fuzz_text(rng, lines)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_readers_agree_with_the_line_scan_oracle_on_random_texts(monkeypatch, seed):
+    from tricent import graph
+
+    monkeypatch.setattr(graph, "_MAX_VERTICES", 6)  # "*Vertices 7" is over the limit
+    rng = random.Random(seed)
+    for _ in range(1000):
+        assert_reads_alike(parse_pajek, oracle_parse_pajek, _fuzz_pajek(rng))
+        assert_reads_alike(parse_edgelist, oracle_parse_edgelist, _fuzz_text(rng, _fuzz_lines(rng, rng.randint(0, 8))))
 
 
 # ------------------------------------------------------------------- subgraphs

@@ -169,7 +169,7 @@ def _betweenness_at(monkeypatch, g, width, depth):
     cells = g.node_count * (g.node_count if width == "n" else width)
     monkeypatch.setattr(measures, "_DISTANCE_CELLS", cells)
     monkeypatch.setattr(measures, "_BETWEENNESS_DEPTH", depth)
-    return betweenness_centrality(g).scores
+    return betweenness_centrality(g)
 
 
 @pytest.mark.parametrize("width", [1, 7, "n"])
@@ -240,7 +240,7 @@ def closeness_cases(karate):
     files = ["toy.edges", "hk-332.net", "wide-labels.edges", "deep.edges"]
     split = Graph([(1, 2), (2, 3), (1, 3), (5, 6)], nodes=[4, 7])  # isolated 4 and 7
     graphs = [karate, *(load_graph(GOLDEN / name) for name in files), split]
-    return [(g, oracle_closeness(g).scores) for g in graphs]
+    return [(g, oracle_closeness(g)) for g in graphs]
 
 
 @pytest.mark.parametrize("width", [1, 7, "n"])
@@ -252,7 +252,7 @@ def test_closeness_matches_oracle_at_every_block_width(monkeypatch, closeness_ca
     for g, expected in closeness_cases:
         cells = g.node_count * (g.node_count if width == "n" else width)
         monkeypatch.setattr(measures, "_DISTANCE_CELLS", cells)
-        assert closeness_centrality(g).scores == expected
+        assert closeness_centrality(g) == expected
 
 
 # ----------------------------------------------------------------- eigenvector
@@ -355,15 +355,13 @@ def test_compute_dispatch_matches_direct(karate):
     for measure, fn in direct.items():
         via = compute(karate, measure)
         raw = fn(karate)
-        assert via.measure is measure
-        assert all(via[v] == raw[v] for v in karate.nodes)
-    assert compute(karate, Measure.EC).measure is Measure.EC
-    assert compute(karate, Measure.PR).measure is Measure.PR
+        assert via == raw
+    assert compute(karate, Measure.EC) == eigenvector_centrality(karate)
+    assert compute(karate, Measure.PR) == pagerank(karate)
 
 
 def test_compute_accepts_tag_strings(karate):
-    scores = compute(karate, "TC")
-    assert scores.measure is Measure.TC
+    assert compute(karate, "TC") == compute(karate, Measure.TC)
 
 
 def test_score_vector_mapping_interface(triangle):

@@ -14,8 +14,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from tricent import (  # noqa: E402
     Graph,
-    Measure,
-    ScoreVector,
     graph,
     pagerank,
     parse_edgelist,
@@ -141,6 +139,6 @@ def test_pagerank_always_sums_to_one(n, p, seed):
 @settings(max_examples=80, deadline=None)
 def test_rank_top_k_positive_rescaling_invariant(raw, k, scale):
     # scores on a coarse grid so rescaling cannot create new float ties
-    scores = ScoreVector(Measure.TC, {v: x / 16.0 for v, x in raw.items()})
-    scaled = ScoreVector(Measure.TC, {v: scale * x / 16.0 for v, x in raw.items()})
+    scores = {v: x / 16.0 for v, x in raw.items()}
+    scaled = {v: scale * x / 16.0 for v, x in raw.items()}
     assert rank_top_k(scores, k) == rank_top_k(scaled, k)
