@@ -212,7 +212,11 @@ def parse_edgelist(text: str) -> Graph:
     Node ids are arbitrary integer labels. Tokens after the first two are
     ignored (weights etc.); blank lines are skipped.
     """
-    pairs = _plain_pairs(_lf(text))
+    lf = _lf(text)
+    start = 0
+    while lf.startswith("#", start):  # a leading comment block, like a SNAP header
+        start = lf.find("\n", start) + 1 or len(lf)
+    pairs = _plain_pairs(lf[start:])
     if pairs is None:
         return _scan_edgelist(text)
     labels, rows = np.unique(pairs, return_inverse=True)

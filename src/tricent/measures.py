@@ -31,7 +31,7 @@ class Measure(str, Enum):
     PR = "PR"  # PageRank
     SDEG = "SDEG"  # triangle-neighborhood size
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:  # else str() gives 'Measure.TC', and format() too from Python 3.11
         return self.value
 
 
@@ -91,8 +91,9 @@ def degree_centrality(g: Graph) -> Dict[NodeId, float]:
     return _scores(g, np.diff(g._adj.indptr))
 
 
-# Distance cells per block of sources, each block a (width, n) array; shared
-# by closeness and betweenness, which both start from these distances.
+# Distance cells per block of sources, each block a (width, n) array. A
+# closeness batch holds at most as many uint64 words per node array and
+# gathers at most as many per BFS level.
 _DISTANCE_CELLS = 1 << 16
 
 # Deepest BFS, in levels, for which betweenness runs a block of sources as
@@ -102,17 +103,88 @@ _DISTANCE_CELLS = 1 << 16
 # deeper blocks run Brandes per source.
 _BETWEENNESS_DEPTH = 32
 
+# Deepest BFS, in levels, that closeness counts in bits. A source whose
+# eccentricity exceeds it also runs a shortest-path search, which adds its
+# farther pairs, so on a deep graph every level is paid on top of the search
+# (about 1% of it each on a 2000-node ring). Karate and the seeded Holme-Kim
+# graphs of 62 to 20k nodes are at most 5 levels deep; a limit of 8 was
+# 2-7% slower on four deep graphs and no faster on these.
+_CLOSENESS_DEPTH = 5
 
-def _distance_blocks(g: Graph, limit: float = math.inf) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Source rows in blocks, each with its (width, n) unweighted distances.
+# masks of the SWAR popcount: alternate bits, bit pairs, nibbles; bytes summed by a multiply
+_M1, _M2, _M4, _H01 = (
+    np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
 
-    Nodes unreachable or farther than ``limit`` (where the search stops) are at inf.
+
+def _blocks(rows: np.ndarray, width: int) -> List[np.ndarray]:
+    """``rows`` in consecutive blocks of ``width``."""
+    return np.split(rows, range(width, len(rows), width))
+
+
+def _batch_width(g: Graph) -> int:
+    """Sources per closeness batch: whole words, few enough that its (n, words)
+    arrays and (nnz, words) gather each hold at most ``_DISTANCE_CELLS`` words,
+    or one word per row if n or nnz is larger."""
+    return 64 * max(1, _DISTANCE_CELLS // max(g._adj.nnz, g.node_count, 1))
+
+
+def _bfs_levels(g: Graph, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """BFS from all of ``rows`` at once, one bit per source (Then et al., VLDB
+    2014): bit j % 64 of word j // 64 stands for ``rows[j]``.
+
+    Yields (d, nxt) for d = 1, 2, ... while some source still grows. Row v of
+    the (n, words) uint64 array nxt holds the sources at distance d from v,
+    as the graph is undirected; the next level overwrites it.
     """
-    from scipy.sparse import csgraph  # not at module level: it slows `import tricent`
-    n = g.node_count
-    width = max(1, _DISTANCE_CELLS // n)
-    for rows in np.split(np.arange(n), range(width, n, width)):
-        yield rows, csgraph.dijkstra(g._adj, unweighted=True, indices=rows, limit=limit)
+    a = g._adj
+    j = np.arange(len(rows))
+    frontier = np.zeros((g.node_count, -(-len(rows) // 64)), np.uint64)
+    frontier[rows, j // 64] = np.uint64(1) << (j % 64).astype(np.uint64)
+    unseen = ~frontier
+    nxt = np.zeros_like(frontier)
+    gathered = np.empty((a.nnz, frontier.shape[1]), np.uint64)
+    nonempty = np.diff(a.indptr) > 0
+    starts = a.indptr[:-1][nonempty]
+    whole = nonempty.all()
+    d = 0
+    while starts.size:
+        np.take(frontier, a.indices, axis=0, out=gathered)
+        if whole:
+            np.bitwise_or.reduceat(gathered, starts, axis=0, out=nxt)
+        else:  # reduceat would give an empty row its next row's first word; an
+            # empty row holds 0 or its own source's bit, which unseen clears
+            nxt[nonempty] = np.bitwise_or.reduceat(gathered, starts, axis=0)
+        nxt &= unseen
+        if not nxt.any():
+            return
+        unseen ^= nxt
+        d += 1
+        yield d, nxt
+        frontier, nxt = nxt, frontier
+
+
+def _bits(words: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` bits of each row of a uint64 array, as booleans."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=width, bitorder="little").view(bool)
+
+
+def _popcount(words: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Set bits per row of a 2-d uint64 array; c and t are scratch of its shape."""
+    np.right_shift(words, 1, out=t)
+    t &= _M1
+    np.subtract(words, t, out=c)
+    np.right_shift(c, 2, out=t)
+    t &= _M2
+    c &= _M2
+    c += t
+    np.right_shift(c, 4, out=t)
+    c += t
+    c &= _M4
+    c *= _H01
+    c >>= 56
+    return c.sum(axis=1, dtype=np.int64)
 
 
 def _brandes_source(s: int, nbrs: List[List[int]], acc: List[float]) -> None:
@@ -147,22 +219,26 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
     shortest s-t paths passing through it, scaled by 2/((n-1)(n-2)) for
     n >= 3, which never changes rank order.
 
-    Sources run in blocks. A block whose BFS is at most ``_BETWEENNESS_DEPTH``
-    levels deep counts shortest paths (sigma) and back-propagates
-    dependencies (delta) level by level, as products of the adjacency with
-    (n, width) arrays; a deeper block runs Brandes' BFS per source.
+    Sources run in blocks, whose BFS levels come from the bit-parallel BFS. A
+    block at most ``_BETWEENNESS_DEPTH`` levels deep counts shortest paths
+    (sigma) and back-propagates dependencies (delta) level by level, as
+    products of the adjacency with (n, width) arrays; a deeper block runs
+    Brandes' BFS per source.
     """
     _require_nonempty(g)
     n = g.node_count
     a = g._adj
     acc = np.zeros(n)
     nbrs = None
-    # the search stops one level past the rule: a block that gets there is
-    # deep, and every other block's distances are complete
-    for rows, dist in _distance_blocks(g, limit=_BETWEENNESS_DEPTH + 1):
-        dist = np.ascontiguousarray(dist.T)  # (n, width): one column per source
-        top = int(dist.max(initial=0.0, where=np.isfinite(dist)))
-        if top > _BETWEENNESS_DEPTH:
+    for rows in _blocks(np.arange(n), max(1, _DISTANCE_CELLS // n)):
+        width = len(rows)
+        packed = []
+        for d, nxt in _bfs_levels(g, rows):
+            if d > _BETWEENNESS_DEPTH:
+                packed = None
+                break
+            packed.append(nxt.copy())
+        if packed is None:
             if nbrs is None:
                 indptr, indices = a.indptr.tolist(), a.indices.tolist()
                 nbrs = [indices[indptr[k] : indptr[k + 1]] for k in range(n)]
@@ -171,15 +247,16 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
                 _brandes_source(s, nbrs, part)
             acc += part
             continue
-        sigma = (dist == 0).astype(float)
-        for d in range(1, top + 1):
-            level = dist == d
-            sigma[level] = (a @ np.where(dist == d - 1, sigma, 0.0))[level]
+        levels = [np.zeros((n, width), bool)]  # levels[d]: the (n, width) mask of distance d
+        levels[0][rows, np.arange(width)] = True
+        levels += [_bits(words, width) for words in packed]
+        sigma = levels[0].astype(float)
+        for d in range(1, len(levels)):
+            np.copyto(sigma, a @ np.where(levels[d - 1], sigma, 0.0), where=levels[d])
         delta = np.zeros_like(sigma)
-        for d in range(top - 1, 0, -1):
-            level = dist == d
-            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == d + 1)
-            delta[level] = (a @ share)[level] * sigma[level]
+        for d in range(len(levels) - 2, 0, -1):
+            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=levels[d + 1])
+            np.multiply(a @ share, sigma, out=delta, where=levels[d])
         acc += delta.sum(axis=1)
     # every unordered pair was accumulated from both endpoints
     scale = 1.0 / ((n - 1) * (n - 2)) if n >= 3 else 0.5
@@ -191,18 +268,37 @@ def closeness_centrality(g: Graph) -> Dict[NodeId, float]:
 
     With r(i) nodes reachable from i (excluding i) at total shortest-path
     distance S(i): score(i) = (r/(n-1)) * (r/S), which reduces to (n-1)/S(i)
-    on connected graphs and to 0 for nodes that reach nothing. Distances come
-    from scipy's unweighted shortest paths over blocks of sources.
+    on connected graphs and to 0 for nodes that reach nothing.
+
+    Sources run in batches of the bit-parallel BFS. The graph is undirected,
+    so each node adds up, level by level, the batch sources at distance d
+    from it: r and S are exact integers. A source whose BFS outgrows
+    ``_CLOSENESS_DEPTH`` levels adds its farther pairs from scipy's unweighted
+    shortest paths.
     """
     _require_nonempty(g)
     n = g.node_count
-    out = []
-    for _, dist in _distance_blocks(g):
-        reached = np.isfinite(dist).sum(axis=1) - 1
-        total = np.nan_to_num(dist, posinf=0.0).sum(axis=1)
-        # a node that reaches nothing has reached = total = 0 and scores 0.0
-        out.append((reached / max(n - 1, 1)) * (reached / np.maximum(total, 1.0)))
-    return _scores(g, np.concatenate(out))
+    reached = np.zeros(n, np.int64)
+    total = np.zeros(n, np.int64)
+    far = []
+    for rows in _blocks(np.arange(n), _batch_width(g)):
+        scratch = np.empty((2, n, -(-len(rows) // 64)), np.uint64)
+        for d, nxt in _bfs_levels(g, rows):
+            if d > _CLOSENESS_DEPTH:
+                far.append(rows[_bits(np.bitwise_or.reduce(nxt, axis=0), len(rows))])
+                break
+            count = _popcount(nxt, *scratch)
+            reached += count
+            total += d * count
+    if far:
+        from scipy.sparse import csgraph  # not at module level: it slows `import tricent`
+        for rows in _blocks(np.concatenate(far), max(1, _DISTANCE_CELLS // n)):
+            dist = csgraph.dijkstra(g._adj, unweighted=True, indices=rows)
+            dist[~np.isfinite(dist) | (dist <= _CLOSENESS_DEPTH)] = 0.0
+            reached[rows] += np.count_nonzero(dist, axis=1)
+            total[rows] += dist.sum(axis=1).astype(np.int64)
+    # a node that reaches nothing has reached = total = 0 and scores 0.0
+    return _scores(g, (reached / max(n - 1, 1)) * (reached / np.maximum(total, 1)))
 
 
 def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -> Dict[NodeId, float]:

@@ -189,7 +189,9 @@ def _deep_beside_shallow(seed, ring: bool, length: int, size: int, m: int, bridg
 
 def test_bc_and_cnc_on_random_deep_and_shallow_graphs(monkeypatch):
     # sources in the Holme-Kim part of an unbridged graph run in products at
-    # width 1; every block holding a path or ring node runs per source
+    # width 1; every block holding a path or ring node runs per source. For
+    # closeness, each path or ring source outgrows the bit levels and adds its
+    # far pairs from a shortest-path search
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -210,8 +212,9 @@ def test_bc_and_cnc_on_random_deep_and_shallow_graphs(monkeypatch):
         h = to_nx(g)
         bc_ref = nx.betweenness_centrality(h)
         cnc_ref = nx.closeness_centrality(h, wf_improved=True)
-        for width in (1, 7, g.node_count):
+        for width in (1, 7, 64, g.node_count):
             monkeypatch.setattr(measures, "_DISTANCE_CELLS", width * g.node_count)
+            monkeypatch.setattr(measures, "_batch_width", lambda g, width=width: width)
             bc = betweenness_centrality(g)
             assert max(abs(bc[v] - bc_ref[v]) for v in g.nodes) <= 1e-12
             assert closeness_centrality(g) == cnc_ref

@@ -298,6 +298,7 @@ READER_ERRORS = [
     (parse_pajek, "*Network test\n% no vertices\n\n", 3, "missing *Vertices header"),
     (parse_edgelist, "1 2\n3  # lonely\n", 2, "expected 'u v', got '3'"),
     (parse_edgelist, "# c\n 1 two  # x\n", 2, "non-integer endpoint in '1 two'"),
+    (parse_edgelist, "# a\r\n# SNAP header\r\n1 2\r\n3\r\n", 4, "expected 'u v', got '3'"),
 ]
 
 
@@ -420,7 +421,7 @@ def test_readers_agree_with_the_line_scan_oracle_on_mutated_inputs(monkeypatch):
     seeds = _reader_seeds()
     for suffix, text in seeds:
         assert_reads_alike(*READ_AS[suffix], text)
-    assert len(scans) == 3  # toy, deep and wide-labels hold comments
+    assert len(scans) == 1  # wide-labels holds labels beyond int64; a leading comment block is read past
     for kind in [*READER_TOKENS, "self-loop", "span"]:
         for k, (suffix, text) in enumerate(seeds):
             for _ in range(4):
@@ -441,9 +442,14 @@ def test_plain_files_skip_the_line_scan(monkeypatch, tmp_path):
     monkeypatch.setattr(graph, "_scan_edgelist", refuse)
     plain = [*_plain_files(random.Random(5)), (".net", "*Vertices 3\n")]
     # every section stays plain: comments outside *Edges and *Arcs bodies, a
-    # named *Network line, and any line ends str.splitlines knows
-    pajek = plain[0][1]
+    # named *Network line, and any line ends str.splitlines knows; an edge
+    # list stays plain after a leading block of comments, as SNAP files have
+    pajek, edgelist = plain[0][1], plain[2][1]
+    snap = "# Undirected graph: plain.txt\n# Nodes: 600 Edges: 2000\n# FromNodeId\tToNodeId\n"
     plain += [
+        (".edges", snap + edgelist),
+        (".edges", (snap + edgelist).replace("\n", "\r\n")),
+        (".edges", "#\n# only comments"),
         (".net", "% by hand\n\n*Network two words\n  % next: vertices\n" + pajek.split("\n", 1)[1]),
         (".net", pajek.replace("\n", "\x0c")),
         (".net", pajek.replace("\n", "\r\n", 700)),

@@ -172,7 +172,7 @@ def _betweenness_at(monkeypatch, g, width, depth):
     return betweenness_centrality(g)
 
 
-@pytest.mark.parametrize("width", [1, 7, "n"])
+@pytest.mark.parametrize("width", [1, 7, 64, 65, "n"])
 def test_betweenness_branches_agree_at_every_block_width(monkeypatch, betweenness_graphs, width):
     # depth -1 sends every block to per-source Brandes, 10**9 every block to
     # the sparse x dense sweeps; they differ only in rounding
@@ -239,20 +239,87 @@ def test_closeness_two_components():
 def closeness_cases(karate):
     files = ["toy.edges", "hk-332.net", "wide-labels.edges", "deep.edges"]
     split = Graph([(1, 2), (2, 3), (1, 3), (5, 6)], nodes=[4, 7])  # isolated 4 and 7
-    graphs = [karate, *(load_graph(GOLDEN / name) for name in files), split]
+    edgeless, single = Graph([], nodes=[1, 2, 3]), Graph([], nodes=[5])
+    graphs = [karate, *(load_graph(GOLDEN / name) for name in files), split, edgeless, single]
     return [(g, oracle_closeness(g)) for g in graphs]
 
 
-@pytest.mark.parametrize("width", [1, 7, "n"])
+@pytest.mark.parametrize("width", [1, 7, 63, 64, 65, 128, "n"])
 def test_closeness_matches_oracle_at_every_block_width(monkeypatch, closeness_cases, width):
-    # scipy's distances must give the BFS oracle's floats exactly, however the
-    # sources are split into blocks
+    # the bit counts and the shortest-path searches past _CLOSENESS_DEPTH must
+    # give the BFS oracle's floats exactly, however the sources are batched and
+    # wherever the counts hand over to the searches (deep.edges is 24-47 deep)
     from tricent import measures
 
-    for g, expected in closeness_cases:
-        cells = g.node_count * (g.node_count if width == "n" else width)
-        monkeypatch.setattr(measures, "_DISTANCE_CELLS", cells)
-        assert closeness_centrality(g) == expected
+    for depth in (0, 2, measures._CLOSENESS_DEPTH, 30, 10**9):
+        monkeypatch.setattr(measures, "_CLOSENESS_DEPTH", depth)
+        for g, expected in closeness_cases:
+            n = g.node_count
+            monkeypatch.setattr(measures, "_batch_width", lambda g, w=n if width == "n" else width: w)
+            monkeypatch.setattr(measures, "_DISTANCE_CELLS", n * (n if width == "n" else width))
+            assert closeness_centrality(g) == expected, (n, depth)
+
+
+def test_closeness_batches_stay_within_the_distance_cells(monkeypatch):
+    # a batch holds (n, words) arrays and gathers (nnz, words) per level; with
+    # many isolated nodes and few edges, n must bound the batch, not nnz
+    from tricent import measures
+
+    g = Graph([(0, 1), (1, 2), (2, 0), (3, 4)], nodes=range(5000))
+    widths = []
+    real = measures._bfs_levels
+
+    def spy(g, rows):
+        widths.append(len(rows))
+        return real(g, rows)
+
+    monkeypatch.setattr(measures, "_bfs_levels", spy)
+    assert closeness_centrality(g) == oracle_closeness(g)
+    assert sum(widths) == g.node_count
+    assert g.node_count * -(-max(widths) // 64) <= measures._DISTANCE_CELLS
+
+
+def _eccentricities(g):
+    """Each node's eccentricity within its component, in row order, by one BFS per node."""
+    ecc = []
+    for s in g.nodes:
+        dist, frontier = {s: 0}, [s]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in g.neighbors(v):
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        ecc.append(max(dist.values()))
+    return ecc
+
+
+@pytest.mark.parametrize(
+    "name, searched",
+    # the path rows 0-99 of "mixed" are 50-99 deep, its Holme-Kim part shallow
+    [("karate", 0), ("hk-332.net", 0), ("ring", 200), ("deep.edges", 61), ("mixed", 100)],
+)
+def test_closeness_searches_only_from_sources_deeper_than_the_bit_levels(
+    monkeypatch, betweenness_graphs, name, searched
+):
+    from scipy.sparse import csgraph
+
+    from tricent import measures
+
+    g = betweenness_graphs[name]
+    rows = []
+    real = csgraph.dijkstra
+
+    def spy(a, **kwargs):
+        rows.extend(kwargs["indices"].tolist())
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", spy)
+    assert closeness_centrality(g) == oracle_closeness(g)
+    deep = [k for k, e in enumerate(_eccentricities(g)) if e > measures._CLOSENESS_DEPTH]
+    assert sorted(rows) == deep and len(deep) == searched
 
 
 # ----------------------------------------------------------------- eigenvector
@@ -362,6 +429,12 @@ def test_compute_dispatch_matches_direct(karate):
 
 def test_compute_accepts_tag_strings(karate):
     assert compute(karate, "TC") == compute(karate, Measure.TC)
+
+
+def test_measure_prints_as_its_tag():
+    for measure in Measure:
+        assert str(measure) == format(measure) == f"{measure}" == "%s" % measure == measure.value
+    assert f"{Measure.TC:>4}|{Measure.CNC}" == "  TC|CNC"
 
 
 def test_score_vector_mapping_interface(triangle):
