@@ -42,8 +42,10 @@ def _residual_density(g: Graph, removed: Iterable[NodeId]) -> float:
 
 
 def _check_k(g: Graph, k: int, where: str = "") -> None:
-    """Reject a k that leaves fewer than 2 nodes, whose density is undefined."""
+    """Reject a negative k, and one that leaves fewer than 2 nodes, whose density is undefined."""
     n = g.node_count
+    if k < 0:
+        raise ValueError(f"{where}k must be nonnegative")
     if k >= n:
         raise ValueError(f"{where}k={k} must be smaller than the node count {n}")
     if n - k < 2:

@@ -311,7 +311,11 @@ def parse_pajek(text: str) -> Graph:
         at = lf.find("*", end)
     n, section, lineno, body, ends = None, None, 1, 0, []
     for start, end in [*heads, (len(lf), None)]:
-        ends.append(_pajek_body(lf[body:start], section, n, lineno))
+        # an *Edges or *Arcs body is read whole if _plain_pairs reads it and its ids lie in 1..n
+        pairs = _plain_pairs(lf[body:start]) if section == "pair" else None
+        if pairs is None or pairs.size and (pairs.min() < 1 or pairs.max() > n):
+            pairs = _scan_body(lf[body:start], section, n, lineno)
+        ends.append(pairs)
         if end is None:
             break
         lineno += lf.count("\n", body, start)
@@ -340,28 +344,9 @@ def parse_pajek(text: str) -> Graph:
     return Graph._of(list(range(1, n + 1)), _adjacency(n, np.concatenate(ends) - 1))
 
 
-def _pajek_body(body: str, section: str | None, n: int | None, lineno: int) -> np.ndarray:
-    """The (u, v) rows of one section body, whose first line is line ``lineno``.
-    Read whole: an *Edges or *Arcs body that _plain_pairs reads, with every id
-    in 1..n; a *Vertices body whose lines, comments aside, all start with an id
-    in 1..n; and a body before the first section that holds only comments. Any
-    other body goes to _scan_body."""
-    if section == "pair":
-        pairs = _plain_pairs(body)
-        if pairs is not None and (not pairs.size or pairs.min() >= 1 and pairs.max() <= n):
-            return pairs
-    elif section != "list":
-        firsts = [p[0] for p in map(str.split, body.split("\n")) if p and p[0][0] != "%"]
-        try:
-            if not firsts or section and all(1 <= int(t) <= n for t in firsts):
-                return np.empty((0, 2), np.int64)
-        except ValueError:
-            pass
-    return _scan_body(body, section, n, lineno)
-
-
 def _scan_body(body: str, section: str | None, n: int | None, lineno: int) -> np.ndarray:
-    """_pajek_body one line at a time: any body, and the line of an error."""
+    """The (u, v) rows of one section body, whose first line is line ``lineno``,
+    read one line at a time: any body, and the line of an error."""
     pairs: list[Tuple[NodeId, NodeId]] = []
 
     def check_id(token: str, lineno: int) -> int:

@@ -142,19 +142,15 @@ def _bfs_levels(g: Graph, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
     frontier = np.zeros((g.node_count, -(-len(rows) // 64)), np.uint64)
     frontier[rows, j // 64] = np.uint64(1) << (j % 64).astype(np.uint64)
     unseen = ~frontier
+    unseen[a.indptr[:-1] == a.indptr[1:]] = 0  # nothing reaches a row without neighbours
     nxt = np.zeros_like(frontier)
-    gathered = np.empty((a.nnz, frontier.shape[1]), np.uint64)
-    nonempty = np.diff(a.indptr) > 0
-    starts = a.indptr[:-1][nonempty]
-    whole = nonempty.all()
+    # reduceat gives a row without neighbours the next row's first word, which
+    # unseen clears; the zero row past the end keeps every start in range
+    gathered = np.zeros((a.nnz + 1, frontier.shape[1]), np.uint64)
     d = 0
-    while starts.size:
-        np.take(frontier, a.indices, axis=0, out=gathered)
-        if whole:
-            np.bitwise_or.reduceat(gathered, starts, axis=0, out=nxt)
-        else:  # reduceat would give an empty row its next row's first word; an
-            # empty row holds 0 or its own source's bit, which unseen clears
-            nxt[nonempty] = np.bitwise_or.reduceat(gathered, starts, axis=0)
+    while True:
+        np.take(frontier, a.indices, axis=0, out=gathered[:-1])
+        np.bitwise_or.reduceat(gathered, a.indptr[:-1], axis=0, out=nxt)
         nxt &= unseen
         if not nxt.any():
             return
@@ -232,13 +228,14 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
     nbrs = None
     for rows in _blocks(np.arange(n), max(1, _DISTANCE_CELLS // n)):
         width = len(rows)
-        packed = []
+        levels = [np.zeros((n, width), bool)]  # levels[d]: the (n, width) mask of distance d
+        levels[0][rows, np.arange(width)] = True
         for d, nxt in _bfs_levels(g, rows):
             if d > _BETWEENNESS_DEPTH:
-                packed = None
+                levels = None
                 break
-            packed.append(nxt.copy())
-        if packed is None:
+            levels.append(_bits(nxt, width))
+        if levels is None:
             if nbrs is None:
                 indptr, indices = a.indptr.tolist(), a.indices.tolist()
                 nbrs = [indices[indptr[k] : indptr[k + 1]] for k in range(n)]
@@ -247,9 +244,6 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
                 _brandes_source(s, nbrs, part)
             acc += part
             continue
-        levels = [np.zeros((n, width), bool)]  # levels[d]: the (n, width) mask of distance d
-        levels[0][rows, np.arange(width)] = True
-        levels += [_bits(words, width) for words in packed]
         sigma = levels[0].astype(float)
         for d in range(1, len(levels)):
             np.copyto(sigma, a @ np.where(levels[d - 1], sigma, 0.0), where=levels[d])
@@ -312,6 +306,8 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -
     _require_nonempty(g)
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     if g.edge_count == 0:
         return _scores(g, [0.0] * g.node_count)
     n = g.node_count
@@ -346,6 +342,8 @@ def pagerank(
         raise ValueError("damping must lie strictly between 0 and 1")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     n = g.node_count
     deg = np.diff(g._adj.indptr).astype(float)
     dangling = deg == 0.0

@@ -188,6 +188,23 @@ def test_info_empty_edgelist(tmp_path, capsys):
     assert json.loads(out)["rows"][0]["density"] is None
 
 
+def test_input_format_overrides_the_extension(tmp_path, capsys):
+    golden = Path(TOY).parent
+    pajek_txt = tmp_path / "karate.txt"
+    pajek_txt.write_bytes(Path(KARATE).read_bytes())
+    argv = ("rank", str(pajek_txt), "--measure", "tc", "--k", "5")
+    got = run_cli(capsys, *argv, "--input-format", "pajek")
+    assert got == (0, (golden / "rank-tc.csv").read_text(), "")
+    code, out, err = run_cli(capsys, *argv, "--input-format", "auto")  # .txt reads as an edge list
+    assert (code, out) == (2, "")
+    assert "parse error" in err
+    edges_net = tmp_path / "toy.net"
+    edges_net.write_bytes(Path(TOY).read_bytes())
+    want = run_cli(capsys, "info", TOY)
+    assert want[0] == 0
+    assert run_cli(capsys, "info", str(edges_net), "--input-format", "edgelist") == want
+
+
 # ------------------------------------------------------------------ exit codes
 
 

@@ -23,6 +23,9 @@ WIDE = str(GOLDEN / "wide-labels.edges")  # negative labels and labels above 2**
 DEEP = str(GOLDEN / "deep.edges")  # diameter 47: BC runs per-source Brandes from every node
 # karate with comments, CRLF, labels, a weighted *Edges line and an *Edgeslist section
 MIXED = str(GOLDEN / "karate-mixed.net")
+# vertices 4, 11, 19 and 20 have no edges; a BFS that let 11 borrow the words of
+# row 12, whose first neighbour is the hub 7, would put 11 in CNC's top 5
+ISOLATED = str(GOLDEN / "isolated.net")
 
 CASES = {
     "rank-tc": ("rank", KARATE, "--measure", "tc", "--k", "5"),
@@ -39,6 +42,7 @@ CASES = {
     "rank-ec-wide": ("rank", WIDE, "--measure", "ec", "--k", "8"),
     "compare": ("compare", KARATE, "--k", "5"),
     "compare-mixed": ("compare", MIXED, "--k", "5"),
+    "compare-isolated": ("compare", ISOLATED, "--k", "5"),
     "compare-tc-tr": ("compare", KARATE, "--measures", "TC,TR"),
     "info": ("info", KARATE),
     "info-hk": ("info", HK),

@@ -128,6 +128,10 @@ def test_removal_leaving_one_node_rejected(karate, monkeypatch):
         removal_impact(Graph(nodes=[1]), 0)
     with pytest.raises(ValueError, match="k=33 leaves 1 of 34 nodes"):
         random_removal_density(karate, 33)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        removal_impact(karate, -1)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        random_removal_density(karate, -1)
 
 
 # -------------------------------------------------------------------- baseline

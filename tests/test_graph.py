@@ -403,6 +403,12 @@ READER_EDGE_CASES = [
     (parse_pajek, "*Network x\x85"), (parse_pajek, "\n"), (parse_edgelist, "1 2\r\r\n3\r\n"), (parse_edgelist, "1 2\r\r\n3 4\r\n")]
 
 
+def _scans_edges(name: str, args: tuple) -> bool:
+    """Whether a call of the line scan ``name`` with ``args`` reads edges. Every
+    *Vertices body, and the lines before the first section, are scanned on purpose."""
+    return name == "_scan_edgelist" or args[1] in ("pair", "list")
+
+
 @pytest.mark.parametrize("reader, text", READER_EDGE_CASES)
 def test_readers_agree_with_the_line_scan_oracle_at_the_edge_of_plain(reader, text):
     oracle = oracle_parse_pajek if reader is parse_pajek else oracle_parse_edgelist
@@ -416,7 +422,8 @@ def test_readers_agree_with_the_line_scan_oracle_on_mutated_inputs(monkeypatch):
     scans = []
     for name in ("_scan_body", "_scan_edgelist"):
         scan = getattr(graph, name)
-        monkeypatch.setattr(graph, name, lambda *args, scan=scan: scans.append(scan) or scan(*args))
+        monkeypatch.setattr(graph, name, lambda *args, name=name, scan=scan:
+                            _scans_edges(name, args) and scans.append(scan) or scan(*args))
     rng = random.Random(11)
     seeds = _reader_seeds()
     for suffix, text in seeds:
@@ -435,13 +442,15 @@ def test_plain_files_skip_the_line_scan(monkeypatch, tmp_path):
     # plain input falling back to the line scan would be correct, and slow
     from tricent import graph
 
-    def refuse(*args):
-        raise AssertionError("the line scan ran on a plain file")
+    for name in ("_scan_body", "_scan_edgelist"):
+        def refuse(*args, name=name, scan=getattr(graph, name)):
+            if _scans_edges(name, args):
+                raise AssertionError("the line scan ran on a plain file")
+            return scan(*args)
 
-    monkeypatch.setattr(graph, "_scan_body", refuse)
-    monkeypatch.setattr(graph, "_scan_edgelist", refuse)
+        monkeypatch.setattr(graph, name, refuse)
     plain = [*_plain_files(random.Random(5)), (".net", "*Vertices 3\n")]
-    # every section stays plain: comments outside *Edges and *Arcs bodies, a
+    # every edge section stays plain: comments outside *Edges and *Arcs bodies, a
     # named *Network line, and any line ends str.splitlines knows; an edge
     # list stays plain after a leading block of comments, as SNAP files have
     pajek, edgelist = plain[0][1], plain[2][1]

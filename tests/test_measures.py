@@ -369,6 +369,9 @@ def test_eigenvector_rejects_bad_tol(karate):
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             eigenvector_centrality(karate, tol=tol)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            eigenvector_centrality(karate, max_iter=max_iter)
 
 
 # -------------------------------------------------------------------- pagerank
@@ -400,6 +403,9 @@ def test_pagerank_parameter_validation(karate):
     for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             pagerank(karate, tol=tol)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            pagerank(karate, max_iter=max_iter)
 
 
 def test_pagerank_convergence_error(karate):
