@@ -91,16 +91,17 @@ def degree_centrality(g: Graph) -> Dict[NodeId, float]:
     return _scores(g, np.diff(g._adj.indptr))
 
 
-# Distance cells per block of sources, each block a (width, n) array. A
-# closeness batch holds at most as many uint64 words per node array and
-# gathers at most as many per BFS level.
+# Distance cells per block of sources: BC's (n, width) sigma, delta and level
+# masks, or closeness's (width, n) shortest-path distances. A closeness batch
+# holds at most as many uint64 words per node array and gathers as many per level.
 _DISTANCE_CELLS = 1 << 16
 
 # Deepest BFS, in levels, for which betweenness runs a block of sources as
-# sparse x dense products. A product costs about 1-1.5 ns per source and
-# (n + nnz) entry, one per level and sweep, against 55-85 ns per source and
-# entry for a whole BFS in Python, so the products win up to about 50 levels;
-# deeper blocks run Brandes per source.
+# sparse x dense products. On a 2-vCPU Xeon a level of both sweeps costs about
+# 1-2.5 ns per source and (n + nnz) entry (0.3-0.5 ns a product), against
+# 90-250 ns per source and entry for a whole BFS in Python on connected graphs,
+# so the products win up to 50-120 levels; on 40 disjoint diamond chains, where
+# each BFS sees one chain, up to about 25. Deeper blocks run Brandes per source.
 _BETWEENNESS_DEPTH = 32
 
 # Deepest BFS, in levels, that closeness counts in bits. A source whose
@@ -219,7 +220,8 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
     block at most ``_BETWEENNESS_DEPTH`` levels deep counts shortest paths
     (sigma) and back-propagates dependencies (delta) level by level, as
     products of the adjacency with (n, width) arrays; a deeper block runs
-    Brandes' BFS per source.
+    Brandes' BFS per source. The forward sweep needs no mask of the level
+    before: a node's neighbours on its own level or the next still hold sigma 0.
     """
     _require_nonempty(g)
     n = g.node_count
@@ -228,30 +230,28 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
     nbrs = None
     for rows in _blocks(np.arange(n), max(1, _DISTANCE_CELLS // n)):
         width = len(rows)
-        levels = [np.zeros((n, width), bool)]  # levels[d]: the (n, width) mask of distance d
-        levels[0][rows, np.arange(width)] = True
+        levels = []  # levels[d - 1]: the (n, width) mask of distance d
         for d, nxt in _bfs_levels(g, rows):
             if d > _BETWEENNESS_DEPTH:
-                levels = None
+                if nbrs is None:
+                    indptr, indices = a.indptr.tolist(), a.indices.tolist()
+                    nbrs = [indices[indptr[k] : indptr[k + 1]] for k in range(n)]
+                part = [0.0] * n
+                for s in rows.tolist():
+                    _brandes_source(s, nbrs, part)
+                acc += part
                 break
             levels.append(_bits(nxt, width))
-        if levels is None:
-            if nbrs is None:
-                indptr, indices = a.indptr.tolist(), a.indices.tolist()
-                nbrs = [indices[indptr[k] : indptr[k + 1]] for k in range(n)]
-            part = [0.0] * n
-            for s in rows.tolist():
-                _brandes_source(s, nbrs, part)
-            acc += part
-            continue
-        sigma = levels[0].astype(float)
-        for d in range(1, len(levels)):
-            np.copyto(sigma, a @ np.where(levels[d - 1], sigma, 0.0), where=levels[d])
-        delta = np.zeros_like(sigma)
-        for d in range(len(levels) - 2, 0, -1):
-            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=levels[d + 1])
-            np.multiply(a @ share, sigma, out=delta, where=levels[d])
-        acc += delta.sum(axis=1)
+        else:
+            sigma = np.zeros((n, width))
+            sigma[rows, np.arange(width)] = 1.0
+            for level in levels:  # level d touches only d - 1, d, d + 1, and sigma is 0 from d on
+                sigma += a @ sigma * level
+            delta = np.zeros_like(sigma)
+            for d in range(len(levels) - 1, 0, -1):
+                share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=levels[d])
+                np.multiply(a @ share, sigma, out=delta, where=levels[d - 1])
+            acc += delta.sum(axis=1)
     # every unordered pair was accumulated from both endpoints
     scale = 1.0 / ((n - 1) * (n - 2)) if n >= 3 else 0.5
     return _scores(g, acc * scale)

@@ -159,8 +159,12 @@ def betweenness_graphs(karate):
     mixed = Graph(
         [(v, v + 1) for v in range(99)] + triad_rich(random.Random(5), range(100, 220), 6)
     )
-    graphs = [karate, *(load_graph(GOLDEN / name) for name in files), split, ring, diamonds, mixed]
-    return dict(zip(["karate", *files, "split", "ring", "diamonds", "mixed"], graphs))
+    # 32 and 33 BFS levels from an end: either side of _BETWEENNESS_DEPTH
+    path33, path34 = (Graph([(v, v + 1) for v in range(n - 1)]) for n in (33, 34))
+    graphs = [karate, *(load_graph(GOLDEN / name) for name in files)]
+    graphs += [split, ring, diamonds, mixed, path33, path34]
+    names = ["karate", *files, "split", "ring", "diamonds", "mixed", "path-33", "path-34"]
+    return dict(zip(names, graphs))
 
 
 def _betweenness_at(monkeypatch, g, width, depth):
@@ -192,7 +196,14 @@ def test_betweenness_branches_agree_at_every_block_width(monkeypatch, betweennes
 @pytest.mark.parametrize(
     "name, width, calls",
     # on "mixed", the 15 blocks of 7 that hold a path node (rows 0-99) are deep
-    [("hk-332.net", "n", 0), ("ring", "n", 200), ("deep.edges", "n", 61), ("mixed", 7, 105)],
+    [
+        ("hk-332.net", "n", 0),
+        ("ring", "n", 200),
+        ("deep.edges", "n", 61),
+        ("mixed", 7, 105),
+        ("path-33", "n", 0),
+        ("path-34", "n", 34),
+    ],
 )
 def test_betweenness_runs_per_source_brandes_only_for_deep_blocks(
     monkeypatch, betweenness_graphs, name, width, calls
@@ -443,11 +454,15 @@ def test_measure_prints_as_its_tag():
     assert f"{Measure.TC:>4}|{Measure.CNC}" == "  TC|CNC"
 
 
-def test_score_vector_mapping_interface(triangle):
+def test_every_measure_returns_a_plain_dict_in_node_order(triangle):
     scores = tr_centrality(triangle)
     assert len(scores) == 3
     assert set(scores) == {1, 2, 3}
     assert dict(scores.items())[1] == scores[1]
+    g = Graph([(5, 2), (2, 9), (9, 5), (9, 1)], nodes=[7])
+    for m in Measure:
+        scores = compute(g, m)
+        assert type(scores) is dict and list(scores) == list(g.nodes), m
 
 
 # ------------------------------------------------------------------ properties
