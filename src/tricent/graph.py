@@ -127,13 +127,11 @@ class Graph:
 def _adjacency(n: int, ends: np.ndarray) -> sparse.csr_array:
     """Symmetric n x n CSR matrix with an entry 1.0 at (u, v) and (v, u) for every
     pair of rows u = ends[2i], v = ends[2i + 1] with u != v."""
-    pairs = ends.reshape(-1, 2)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
-    # conversion sums duplicate pairs and sorts each row's columns
-    adj = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    adj.data[:] = 1.0
-    return adj
+    u, v = ends.reshape(-1, 2).T  # entry (row, col) has the key row * n + col
+    key = np.sort(np.concatenate([u * n + v, v * n + u])[np.tile(u != v, 2)])
+    key = key[np.diff(key, prepend=-1) != 0]  # the first of each run of repeats
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    return sparse.csr_array((np.ones(len(key)), key % n, indptr), shape=(n, n))
 
 
 def triangle_neighbors(g: Graph, i: NodeId) -> frozenset[NodeId]:
@@ -172,11 +170,11 @@ def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
     rank = np.empty(n, np.intp)
     rank[np.argsort(np.diff(a.indptr), kind="stable")] = np.arange(n)
     src, dst = rank[np.repeat(np.arange(n), np.diff(a.indptr))], rank[a.indices]
-    up = src < dst
-    u = sparse.csr_array((np.ones(up.sum(), bool), (src[up], dst[up])), shape=(n, n))
-    out = np.diff(u.indptr)
-    src, dst = np.repeat(np.arange(n), out), u.indices  # edge e of U joins src[e] < dst[e]
-    key = src * n + dst  # ascends with e
+    key = np.sort((src * n + dst)[src < dst])  # U's entries as row * n + col, row-major
+    src, dst = np.divmod(key, n)  # edge e of U joins src[e] < dst[e]
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    u = sparse.csr_array((np.ones(len(key), bool), dst, indptr), shape=(n, n))
+    out = np.diff(indptr)
     work = np.cumsum(np.concatenate([[0], out[src] + out[dst]]))  # entries read before edge e
     hits, start = np.zeros(len(dst), np.int64), 0
     while start < len(dst):

@@ -111,14 +111,14 @@ def dataset_or_none(name: str) -> Optional[Graph]:
 
 def assert_reads_alike(reader, oracle, text: str) -> None:
     """``reader(text)`` gives ``oracle(text)``'s graph, with labels of the same
-    types and a well-formed matrix, or a ParseError with the oracle's line and
-    message."""
+    types, or a ParseError with the oracle's line and message. Both matrices
+    must be well formed: sorted, distinct columns and every entry 1.0."""
     outcomes = []
     for read in (reader, oracle):
         try:
             g = read(text)
-            well_formed = g._adj.has_sorted_indices and set(g._adj.data.tolist()) <= {1.0}
-            outcomes.append((g, repr(g._labels), well_formed))
+            assert g._adj.has_canonical_format and set(g._adj.data.tolist()) <= {1.0}, text
+            outcomes.append((g, repr(g._labels)))
         except ParseError as err:
             outcomes.append((str(err), err.line))
     assert outcomes[0] == outcomes[1], text

@@ -33,6 +33,7 @@ def test_construction_collapses_duplicates_and_loops():
     assert g.edge_count == 2
     assert g.has_edge(1, 2) and g.has_edge(2, 3)
     assert not g.has_edge(3, 3)
+    _assert_well_formed(g)
 
 
 def test_isolated_nodes_kept():
@@ -59,6 +60,9 @@ def test_structural_equality():
     b = Graph([(3, 2), (2, 1), (1, 2)])
     assert a == b
     assert a != Graph([(1, 2)])
+    assert len(a) == a.node_count == 3
+    assert repr(a) == "Graph(nodes=3, edges=2)"
+    assert (a == 1) is False and (a != 1) is True
 
 
 def test_graphs_are_unhashable():
@@ -538,7 +542,7 @@ def _rebuild(g: Graph, keep) -> Graph:
 def _assert_well_formed(h: Graph):
     edges = list(h.edges())
     assert edges == sorted(edges)
-    assert h._adj.has_sorted_indices
+    assert h._adj.has_canonical_format  # sorted and distinct columns in every row
     assert set(h._adj.data.tolist()) <= {1.0}
 
 
