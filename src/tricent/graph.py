@@ -7,7 +7,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, KeysView, Tuple
 
 import numpy as np
-from scipy import sparse
 
 NodeId = int
 
@@ -37,24 +36,25 @@ class Graph:
     mutate: removal and subgraph operations return new graphs, so a Graph can
     be shared freely across threads.
 
-    The adjacency is one symmetric CSR matrix over the sorted labels (row k is
-    the k-th smallest label), with sorted column indices and every entry 1.0.
+    The adjacency is a symmetric CSR pattern over the sorted labels (row k is
+    the k-th smallest label): two numpy arrays, ``_indptr`` and ``_indices``,
+    with sorted, distinct columns in every row and no values.
     """
 
-    __slots__ = ("_labels", "_index", "_adj")
+    __slots__ = ("_labels", "_index", "_indptr", "_indices")
 
     def __init__(self, edges: Iterable[Tuple[NodeId, NodeId]] = (), nodes: Iterable[NodeId] = ()):
         ends = [x for u, v in edges for x in (u, v)]
         self._labels: list[NodeId] = sorted({*nodes, *ends})
         self._index = {v: k for k, v in enumerate(self._labels)}
         rows = np.fromiter(map(self._index.__getitem__, ends), np.intp, len(ends))
-        self._adj = _adjacency(len(self._labels), rows)
+        self._indptr, self._indices = _adjacency(len(self._labels), rows)
 
     @classmethod
-    def _of(cls, labels: list[NodeId], adj: sparse.csr_array) -> "Graph":
-        """Graph on ``labels`` (sorted, distinct) whose k-th label owns row k of ``adj``."""
+    def _of(cls, labels: list[NodeId], csr: Tuple[np.ndarray, np.ndarray]) -> "Graph":
+        """Graph on ``labels`` (sorted, distinct) whose k-th label owns row k of ``csr``."""
         g = cls.__new__(cls)
-        g._labels, g._index, g._adj = labels, {v: k for k, v in enumerate(labels)}, adj
+        g._labels, g._index, (g._indptr, g._indices) = labels, {v: k for k, v in enumerate(labels)}, csr
         return g
 
     @property
@@ -68,7 +68,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return self._adj.nnz // 2
+        return len(self._indices) // 2
 
     def __contains__(self, node: object) -> bool:
         return node in self._index
@@ -79,7 +79,8 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._labels == other._labels and (self._adj != other._adj).nnz == 0
+        same = self._labels == other._labels and np.array_equal(self._indptr, other._indptr)
+        return same and np.array_equal(self._indices, other._indices)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -96,7 +97,7 @@ class Graph:
     def neighbors(self, i: NodeId) -> frozenset[NodeId]:
         """Adjacency set of ``i``; never contains ``i`` itself. Built on each call."""
         (k,) = self._rows((i,))
-        row = self._adj.indices[self._adj.indptr[k] : self._adj.indptr[k + 1]]
+        row = self._indices[self._indptr[k] : self._indptr[k + 1]]
         return frozenset(map(self._labels.__getitem__, row.tolist()))
 
     def degree(self, i: NodeId) -> int:
@@ -107,15 +108,21 @@ class Graph:
 
     def edges(self) -> Iterator[Tuple[NodeId, NodeId]]:
         """All edges as (u, v) pairs with u < v, in sorted order."""
-        upper = sparse.triu(self._adj, k=1, format="coo")
+        rows = _entry_rows(self._indptr)
+        upper = rows < self._indices
         label = self._labels.__getitem__
-        return zip(map(label, upper.row.tolist()), map(label, upper.col.tolist()))
+        return zip(map(label, rows[upper].tolist()), map(label, self._indices[upper].tolist()))
 
     def induced_subgraph(self, keep: Iterable[NodeId]) -> "Graph":
         """Subgraph on ``keep``: those nodes plus every edge between them."""
         rows = self._rows(keep)
-        # rows ascend, so columns stay sorted
-        return Graph._of(list(map(self._labels.__getitem__, rows.tolist())), self._adj[rows][:, rows])
+        new = np.full(len(self._labels), -1)
+        new[rows] = np.arange(len(rows))
+        # rows ascend, so the kept entries stay row-major with sorted columns
+        at, col = new[_entry_rows(self._indptr)], new[self._indices]
+        kept = (at >= 0) & (col >= 0)
+        indptr = np.searchsorted(at[kept], np.arange(len(rows) + 1))
+        return Graph._of(list(map(self._labels.__getitem__, rows.tolist())), (indptr, col[kept]))
 
     def remove_nodes(self, victims: Iterable[NodeId]) -> "Graph":
         """Graph with ``victims`` (and their incident edges) deleted."""
@@ -124,14 +131,18 @@ class Graph:
         return self.induced_subgraph(map(self._labels.__getitem__, np.flatnonzero(keep).tolist()))
 
 
-def _adjacency(n: int, ends: np.ndarray) -> sparse.csr_array:
-    """Symmetric n x n CSR matrix with an entry 1.0 at (u, v) and (v, u) for every
-    pair of rows u = ends[2i], v = ends[2i + 1] with u != v."""
+def _adjacency(n: int, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the symmetric n x n CSR pattern with entries (u, v)
+    and (v, u) for every pair of rows u = ends[2i], v = ends[2i + 1] with u != v."""
     u, v = ends.reshape(-1, 2).T  # entry (row, col) has the key row * n + col
     key = np.sort(np.concatenate([u * n + v, v * n + u])[np.tile(u != v, 2)])
     key = key[np.diff(key, prepend=-1) != 0]  # the first of each run of repeats
-    indptr = np.searchsorted(key, np.arange(n + 1) * n)
-    return sparse.csr_array((np.ones(len(key)), key % n, indptr), shape=(n, n))
+    return np.searchsorted(key, np.arange(n + 1) * n), key % n
+
+
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of each entry of a CSR pattern."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 def triangle_neighbors(g: Graph, i: NodeId) -> frozenset[NodeId]:
@@ -151,10 +162,11 @@ def triangles_at(g: Graph, i: NodeId) -> int:
     return sum(len(nbrs & g.neighbors(j)) for j in nbrs) // 2
 
 
-# Entries read per block of the triangle pass. On a 20k-node, 200k-edge
-# Holme-Kim graph, 2**20 ran 15% faster but allocated 30 MB at its peak
-# against 12 MB, and 2**22 added 26 MB of RSS.
-_BLOCK_WORK = 1 << 17
+# Wedges per block of the triangle pass. On Holme-Kim graphs of 20k nodes and
+# 200k edges (919k wedges) and of 1224 nodes and 16.9k edges (111k wedges),
+# 2**17 raised the pass's peak allocation from 11.8 to 14.3 MB and from 2.4 to
+# 5.4 MB, and no cut from 2**13 to 2**17 was clearly faster.
+_BLOCK_WORK = 1 << 15
 
 
 def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
@@ -162,32 +174,37 @@ def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
 
     Nodes are ranked by (degree, row); U holds each edge once, in the row of
     its lower-ranked end, so even hubs have short rows. Each triangle i < j < k
-    is found once, as a column k shared by rows i and j of U (Schank & Wagner's
-    "forward" algorithm), and adds 1 to each of its three edges. A node's count
-    is half the sum over its edges, and its sdeg the number of its edges hit.
+    is found once, as the wedge of U's edges (i, j) and (i, k) that U's edge
+    (j, k) closes (Schank & Wagner's "forward" algorithm). It counts for each
+    of its three nodes, and marks its three edges; a node's sdeg is the number
+    of its edges marked.
     """
-    a, n = g._adj, len(g._labels)
+    n = len(g._labels)
     rank = np.empty(n, np.intp)
-    rank[np.argsort(np.diff(a.indptr), kind="stable")] = np.arange(n)
-    src, dst = rank[np.repeat(np.arange(n), np.diff(a.indptr))], rank[a.indices]
+    rank[np.argsort(np.diff(g._indptr), kind="stable")] = np.arange(n)
+    src, dst = rank[_entry_rows(g._indptr)], rank[g._indices]
     key = np.sort((src * n + dst)[src < dst])  # U's entries as row * n + col, row-major
-    src, dst = np.divmod(key, n)  # edge e of U joins src[e] < dst[e]
-    indptr = np.searchsorted(key, np.arange(n + 1) * n)
-    u = sparse.csr_array((np.ones(len(key), bool), dst, indptr), shape=(n, n))
-    out = np.diff(indptr)
-    work = np.cumsum(np.concatenate([[0], out[src] + out[dst]]))  # entries read before edge e
-    hits, start = np.zeros(len(dst), np.int64), 0
-    while start < len(dst):
-        stop = max(start + 1, int(np.searchsorted(work, work[start] + _BLOCK_WORK, "right")) - 1)
-        # entry (e, k) is the triangle src[e] < dst[e] < k; find its edges to k by key
-        tri = u[src[start:stop]].multiply(u[dst[start:stop]]).tocoo()
-        e = tri.row + start
-        to_k = np.searchsorted(key, np.concatenate([src[e], dst[e]]) * n + np.tile(tri.col, 2))
-        hits += np.bincount(np.concatenate([e, to_k]), minlength=len(dst))
+    src, dst = np.divmod(key, n)  # edge e of U joins src[e] < dst[e]; dst ascends in a row
+    # edge e opens a wedge with each later edge f of its row
+    wedges = np.searchsorted(key, np.arange(1, n + 1) * n)[src] - np.arange(1, len(key) + 1)
+    before = np.concatenate([[0], np.cumsum(wedges)])  # wedges opened before edge e
+    triangles, hit, start = np.zeros(n, np.int64), np.zeros(len(key), bool), 0
+    while start < len(key):
+        stop = max(start + 1, int(np.searchsorted(before, before[start] + _BLOCK_WORK, "right")) - 1)
+        count = wedges[start:stop]
+        # the block's wedge w pairs edge e with edge e + 1 + w - (the block's first wedge of e)
+        shift = np.arange(start + 1, stop + 1) - (before[start:stop] - before[start])
+        e = np.repeat(np.arange(start, stop), count)
+        f = np.arange(len(e)) + np.repeat(shift, count)
+        closing = dst[e] * n + dst[f]  # the key of the edge that would close the wedge
+        at = np.searchsorted(key, closing)
+        found = key.take(at, mode="clip") == closing
+        e, f, at = e[found], f[found], at[found]
+        hit[e] = hit[f] = hit[at] = True
+        triangles += np.bincount(np.concatenate([src[e], dst[e], dst[f]]), minlength=n)
         start = stop
-    twice = np.bincount(src, hits, n) + np.bincount(dst, hits, n)
-    sizes = np.bincount(src, hits > 0, n) + np.bincount(dst, hits > 0, n)
-    return twice[rank].astype(np.int64) // 2, sizes[rank].astype(np.int64)
+    sizes = np.bincount(src, hit, n) + np.bincount(dst, hit, n)
+    return triangles[rank], sizes[rank].astype(np.int64)
 
 
 def density(g: Graph) -> float:

@@ -45,6 +45,15 @@ def _scores(g: Graph, values: Iterable[float]) -> Dict[NodeId, float]:
     return dict(zip(g.nodes, np.asarray(values, dtype=float).tolist()))
 
 
+def _matrix(g: Graph):
+    """g's adjacency as a scipy CSR array with every entry 1.0, for its products.
+    scipy is imported here, not at module level: it slows `import tricent`."""
+    from scipy import sparse
+
+    n = g.node_count
+    return sparse.csr_array((np.ones(len(g._indices)), g._indices, g._indptr), shape=(n, n))
+
+
 def sdeg(g: Graph, i: NodeId) -> int:
     """Size of node i's triangle-connected neighborhood; never exceeds deg(i)."""
     return len(triangle_neighbors(g, i))
@@ -88,7 +97,7 @@ def triangle_count_centrality(g: Graph) -> Dict[NodeId, float]:
 def degree_centrality(g: Graph) -> Dict[NodeId, float]:
     """Plain degree (number of direct links)."""
     _require_nonempty(g)
-    return _scores(g, np.diff(g._adj.indptr))
+    return _scores(g, np.diff(g._indptr))
 
 
 # Distance cells per block of sources: BC's (n, width) sigma, delta and level
@@ -127,7 +136,7 @@ def _batch_width(g: Graph) -> int:
     """Sources per closeness batch: whole words, few enough that its (n, words)
     arrays and (nnz, words) gather each hold at most ``_DISTANCE_CELLS`` words,
     or one word per row if n or nnz is larger."""
-    return 64 * max(1, _DISTANCE_CELLS // max(g._adj.nnz, g.node_count, 1))
+    return 64 * max(1, _DISTANCE_CELLS // max(len(g._indices), g.node_count, 1))
 
 
 def _bfs_levels(g: Graph, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
@@ -138,20 +147,20 @@ def _bfs_levels(g: Graph, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
     the (n, words) uint64 array nxt holds the sources at distance d from v,
     as the graph is undirected; the next level overwrites it.
     """
-    a = g._adj
+    indptr, indices = g._indptr, g._indices
     j = np.arange(len(rows))
     frontier = np.zeros((g.node_count, -(-len(rows) // 64)), np.uint64)
     frontier[rows, j // 64] = np.uint64(1) << (j % 64).astype(np.uint64)
     unseen = ~frontier
-    unseen[a.indptr[:-1] == a.indptr[1:]] = 0  # nothing reaches a row without neighbours
+    unseen[indptr[:-1] == indptr[1:]] = 0  # nothing reaches a row without neighbours
     nxt = np.zeros_like(frontier)
     # reduceat gives a row without neighbours the next row's first word, which
     # unseen clears; the zero row past the end keeps every start in range
-    gathered = np.zeros((a.nnz + 1, frontier.shape[1]), np.uint64)
+    gathered = np.zeros((len(indices) + 1, frontier.shape[1]), np.uint64)
     d = 0
     while True:
-        np.take(frontier, a.indices, axis=0, out=gathered[:-1])
-        np.bitwise_or.reduceat(gathered, a.indptr[:-1], axis=0, out=nxt)
+        np.take(frontier, indices, axis=0, out=gathered[:-1])
+        np.bitwise_or.reduceat(gathered, indptr[:-1], axis=0, out=nxt)
         nxt &= unseen
         if not nxt.any():
             return
@@ -225,7 +234,7 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
     """
     _require_nonempty(g)
     n = g.node_count
-    a = g._adj
+    a = _matrix(g)
     acc = np.zeros(n)
     nbrs = None
     for rows in _blocks(np.arange(n), max(1, _DISTANCE_CELLS // n)):
@@ -234,7 +243,7 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
         for d, nxt in _bfs_levels(g, rows):
             if d > _BETWEENNESS_DEPTH:
                 if nbrs is None:
-                    indptr, indices = a.indptr.tolist(), a.indices.tolist()
+                    indptr, indices = g._indptr.tolist(), g._indices.tolist()
                     nbrs = [indices[indptr[k] : indptr[k + 1]] for k in range(n)]
                 part = [0.0] * n
                 for s in rows.tolist():
@@ -286,8 +295,10 @@ def closeness_centrality(g: Graph) -> Dict[NodeId, float]:
             total += d * count
     if far:
         from scipy.sparse import csgraph  # not at module level: it slows `import tricent`
+
+        a = _matrix(g)
         for rows in _blocks(np.concatenate(far), max(1, _DISTANCE_CELLS // n)):
-            dist = csgraph.dijkstra(g._adj, unweighted=True, indices=rows)
+            dist = csgraph.dijkstra(a, unweighted=True, indices=rows)
             dist[~np.isfinite(dist) | (dist <= _CLOSENESS_DEPTH)] = 0.0
             reached[rows] += np.count_nonzero(dist, axis=1)
             total[rows] += dist.sum(axis=1).astype(np.int64)
@@ -311,10 +322,11 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -
     if g.edge_count == 0:
         return _scores(g, [0.0] * g.node_count)
     n = g.node_count
+    a = _matrix(g)
     x = np.full(n, 1.0 / math.sqrt(n))
     residual = math.inf
     for _ in range(max_iter):
-        ax = g._adj @ x
+        ax = a @ x
         lam = float(x @ ax)
         residual = float(np.max(np.abs(ax - lam * x)))
         if residual < tol:
@@ -345,7 +357,8 @@ def pagerank(
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     n = g.node_count
-    deg = np.diff(g._adj.indptr).astype(float)
+    a = _matrix(g)
+    deg = np.diff(g._indptr).astype(float)
     dangling = deg == 0.0
     safe_deg = np.where(dangling, 1.0, deg)
     rank = np.full(n, 1.0 / n)
@@ -353,7 +366,7 @@ def pagerank(
     for _ in range(max_iter):
         share = np.where(dangling, 0.0, rank) / safe_deg
         loose_mass = float(rank[dangling].sum())
-        nxt = (1.0 - damping) / n + damping * (g._adj @ share + loose_mass / n)
+        nxt = (1.0 - damping) / n + damping * (a @ share + loose_mass / n)
         change = float(np.max(np.abs(nxt - rank)))
         rank = nxt
         if change < tol:

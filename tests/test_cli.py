@@ -281,14 +281,26 @@ def test_leading_byte_order_mark_is_skipped(tmp_path, capsys):
     assert run_cli(capsys, "info", str(marked)) == want
 
 
-def test_cli_import_leaves_csgraph_unloaded():
-    # csgraph is imported only where closeness and betweenness need it
+def test_cli_import_and_triangle_commands_leave_scipy_unloaded():
+    # scipy is imported only on the first BC, CNC, EC or PR call
     env = dict(os.environ, PYTHONPATH=str(Path(tricent.__file__).resolve().parent.parent))
-    code = "import sys, tricent.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    code = """if True:
+        import contextlib, io, sys
+        import tricent.cli
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        print(scipy_modules())
+        for path in sys.argv[1:]:
+            for argv in [["info", path]] + [["rank", path, "--measure", m] for m in ("tc", "tr", "sdeg", "dc")]:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert tricent.cli.main(argv) == 0, argv
+        print(scipy_modules())
+    """
+    paths = [KARATE, str(Path(__file__).resolve().parent / "golden" / "hk-332.net")]
     got = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *paths], env=env, capture_output=True, text=True, timeout=60
     )
-    assert (got.returncode, got.stdout, got.stderr) == (0, "False\n", "")
+    assert (got.returncode, got.stdout, got.stderr) == (0, "[]\n[]\n", "")
 
 
 def test_convergence_failure_exits_3(capsys):

@@ -19,8 +19,9 @@ from tricent import (
     triangle_neighbors,
     triangles_at,
 )
+from tricent.graph import _BLOCK_WORK
 
-from conftest import DATA_DIR, KARATE_EDGES, assert_reads_alike, random_graph, triad_rich
+from conftest import DATA_DIR, KARATE_EDGES, assert_reads_alike, assert_well_formed, random_graph, triad_rich
 from oracles import oracle_parse_edgelist, oracle_parse_pajek
 
 
@@ -60,6 +61,8 @@ def test_structural_equality():
     b = Graph([(3, 2), (2, 1), (1, 2)])
     assert a == b
     assert a != Graph([(1, 2)])
+    # same labels and edge count, different edges: only the adjacency arrays differ
+    assert Graph([(1, 2), (2, 3)]) != Graph([(1, 3), (2, 3)])
     assert len(a) == a.node_count == 3
     assert repr(a) == "Graph(nodes=3, edges=2)"
     assert (a == 1) is False and (a != 1) is True
@@ -128,7 +131,7 @@ def test_triangle_free_graph():
     assert all(len(triangle_neighbors(g, v)) == 0 for v in g.nodes)
 
 
-@pytest.mark.parametrize("block_work", [1, 50, 1 << 17, 1 << 40])
+@pytest.mark.parametrize("block_work", [1, 50, _BLOCK_WORK, 1 << 17, 1 << 40])  # and the cut that ships
 def test_triangle_pass_matches_per_node_primitives(monkeypatch, block_work):
     # the whole-graph pass must not depend on where its blocks are cut, nor on
     # how degree ties and labels order the nodes it renumbers by degree
@@ -542,8 +545,7 @@ def _rebuild(g: Graph, keep) -> Graph:
 def _assert_well_formed(h: Graph):
     edges = list(h.edges())
     assert edges == sorted(edges)
-    assert h._adj.has_canonical_format  # sorted and distinct columns in every row
-    assert set(h._adj.data.tolist()) <= {1.0}
+    assert_well_formed(h)
 
 
 @pytest.mark.parametrize("name", SUBGRAPH_CASES)
