@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import Iterable, Iterator, KeysView, Tuple
 
@@ -101,7 +100,8 @@ class Graph:
         return frozenset(map(self._labels.__getitem__, row.tolist()))
 
     def degree(self, i: NodeId) -> int:
-        return len(self.neighbors(i))
+        (k,) = self._rows((i,))
+        return int(self._indptr[k + 1] - self._indptr[k])
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return v in self.neighbors(u)
@@ -133,11 +133,21 @@ class Graph:
 
 def _adjacency(n: int, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) of the symmetric n x n CSR pattern with entries (u, v)
-    and (v, u) for every pair of rows u = ends[2i], v = ends[2i + 1] with u != v."""
-    u, v = ends.reshape(-1, 2).T  # entry (row, col) has the key row * n + col
-    key = np.sort(np.concatenate([u * n + v, v * n + u])[np.tile(u != v, 2)])
-    key = key[np.diff(key, prepend=-1) != 0]  # the first of each run of repeats
-    return np.searchsorted(key, np.arange(n + 1) * n), key % n
+    and (v, u) for every pair of rows u = ends[2i], v = ends[2i + 1] with u != v.
+    Works in place: ``ends``, an int64 array, is overwritten."""
+    pairs = ends.reshape(-1, 2)
+    pairs[pairs[:, 0] == pairs[:, 1]] = -1  # a self-loop's two keys are negative
+    u, v = pairs.T
+    u[...], v[...] = u * n + v, v * n + u  # entry (row, col) has the key row * n + col
+    key = pairs.reshape(-1)
+    key.sort()
+    first = np.empty(len(key), bool)  # the first of each run of repeats, if not negative
+    first[:1] = key[:1] >= 0
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    kept = key[first]
+    key = key[: len(kept)]  # the CSR's indices share the buffer of ends
+    key[...] = kept
+    return np.searchsorted(key, np.arange(n + 1) * n), np.remainder(key, n, out=key)
 
 
 def _entry_rows(indptr: np.ndarray) -> np.ndarray:
@@ -182,8 +192,12 @@ def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
     n = len(g._labels)
     rank = np.empty(n, np.intp)
     rank[np.argsort(np.diff(g._indptr), kind="stable")] = np.arange(n)
-    src, dst = rank[_entry_rows(g._indptr)], rank[g._indices]
-    key = np.sort((src * n + dst)[src < dst])  # U's entries as row * n + col, row-major
+    src, dst = np.repeat(rank, np.diff(g._indptr)), rank[g._indices]  # each entry's ranked ends
+    upper = src < dst
+    key = np.multiply(src[upper], n, dtype=np.int64)  # U's entries as row * n + col
+    key += dst[upper]
+    del src, dst, upper  # freed before U's edge arrays are made
+    key.sort()  # row-major
     src, dst = np.divmod(key, n)  # edge e of U joins src[e] < dst[e]; dst ascends in a row
     # edge e opens a wedge with each later edge f of its row
     wedges = np.searchsorted(key, np.arange(1, n + 1) * n)[src] - np.arange(1, len(key) + 1)
@@ -270,27 +284,44 @@ def _lf(text: str) -> str:
 
 
 # Maps digits to b"0" and tabs to spaces. A body that becomes only b"0", b" ",
-# b"\n" and b"-", with no run of 19 zeros, holds only tokens that are either
-# an int64 that loadtxt and int() read alike, or malformed for both; loadtxt
-# raises on the latter, where numpy 1.x would warn on a float or an overflow.
+# b"\n" and b"-", with no run of 19 zeros, and in which every b"-" starts a
+# token and has a digit after it, holds only int64 tokens that fromstring and
+# int() read alike.
 _DIGITS = bytes.maketrans(b"123456789\t", b"000000000 ")
 
 
 def _plain_pairs(body: str) -> np.ndarray | None:
     """``body`` as an (m, 2) int64 array when every nonblank line of it is two
     decimal integers of at most 18 digits, and None for any other body."""
+    tokens = _plain_tokens(body)
+    return None if tokens is None else np.fromstring(body, np.int64, tokens, sep=" ").reshape(-1, 2)
+
+
+def _plain_tokens(body: str) -> int | None:
+    """The number of tokens in ``body`` when _plain_pairs reads it, else None."""
     if not body.isascii():
         return None
     shape = body.encode().translate(_DIGITS)
     if shape.translate(None, b"0 \n-") or b"0" * 19 in shape:
         return None
-    if not shape.strip():  # loadtxt warns on an input without rows
-        return np.empty((0, 2), np.int64)
-    try:
-        pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:  # a malformed token, or lines of unequal length
+    # every "-" starts a token and has a digit after it: fromstring reads "1 - 2"
+    # as 1 and -2, and raises or stops early, by numpy version, on "1-2" or "2-"
+    signs = shape.count(b"-")
+    if signs and shape.count(b" -0") + shape.count(b"\n-0") + shape.startswith(b"-0") != signs:
         return None
-    return pairs if pairs.shape[1] == 2 else None
+    # one b"0" for the first digit of each token and one b"\n" for each line
+    # end, so a line of two tokens leaves b"00"; the first byte is kept too, and
+    # is a b"0" only when it starts a token
+    s = np.frombuffer(shape, np.uint8)
+    digit = s == ord("0")
+    mark = np.empty_like(digit)
+    mark[:1] = True
+    np.greater(digit[1:], digit[:-1], out=mark[1:])
+    mark |= np.equal(s, ord("\n"), out=digit)
+    del digit  # freed before the marked bytes are copied
+    marks = s[mark].tobytes()
+    pairs = marks.count(b"00")
+    return 2 * pairs if 2 * pairs == marks.count(b"0") and b"000" not in marks else None
 
 
 # Pajek section keyword -> what its body lines hold; *Network only names the file
@@ -355,8 +386,10 @@ def parse_pajek(text: str) -> Graph:
         section, body, lineno = _SECTIONS[key] or section, end, lineno + 1
     if n is None:
         raise ParseError("missing *Vertices header", len(text.splitlines()) or 1)
-    # label v is row v - 1
-    return Graph._of(list(range(1, n + 1)), _adjacency(n, np.concatenate(ends) - 1))
+    ends = np.concatenate(ends)
+    ends -= 1  # label v is row v - 1
+    del pairs  # the last section's rows, copied into ends
+    return Graph._of(list(range(1, n + 1)), _adjacency(n, ends))
 
 
 def _scan_body(body: str, section: str | None, n: int | None, lineno: int) -> np.ndarray:
