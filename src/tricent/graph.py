@@ -217,8 +217,8 @@ def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
         hit[e] = hit[f] = hit[at] = True
         triangles += np.bincount(np.concatenate([src[e], dst[e], dst[f]]), minlength=n)
         start = stop
-    sizes = np.bincount(src, hit, n) + np.bincount(dst, hit, n)
-    return triangles[rank], sizes[rank].astype(np.int64)
+    sizes = np.bincount(src[hit], minlength=n) + np.bincount(dst[hit], minlength=n)
+    return triangles[rank], sizes[rank]
 
 
 def density(g: Graph) -> float:
@@ -275,12 +275,10 @@ _LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 def _lf(text: str) -> str:
     """``text`` with every line end that str.splitlines knows as LF, so that line
-    k of ``text`` is line k of the result. CRLF is replaced only when no other
-    break is left, since "\\r\\r\\n" ends two lines."""
-    lf = text.replace("\r\n", "\n") if "\r" in text else text
-    if any(c in lf for c in _LINE_BREAKS):
+    k of ``text`` is line k of the result."""
+    if any(c in text for c in _LINE_BREAKS):
         return "".join(line + "\n" for line in text.splitlines())
-    return lf
+    return text
 
 
 # Maps digits to b"0" and tabs to spaces. A body that becomes only b"0", b" ",

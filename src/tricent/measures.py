@@ -360,11 +360,11 @@ def pagerank(
     a = _matrix(g)
     deg = np.diff(g._indptr).astype(float)
     dangling = deg == 0.0
-    safe_deg = np.where(dangling, 1.0, deg)
+    deg[dangling] = 1.0  # a node without edges is in no row of a, so a @ share never reads it
     rank = np.full(n, 1.0 / n)
     change = math.inf
     for _ in range(max_iter):
-        share = np.where(dangling, 0.0, rank) / safe_deg
+        share = rank / deg
         loose_mass = float(rank[dangling].sum())
         nxt = (1.0 - damping) / n + damping * (a @ share + loose_mass / n)
         change = float(np.max(np.abs(nxt - rank)))

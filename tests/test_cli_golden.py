@@ -73,5 +73,13 @@ def test_golden_bytes_info_empty_edgelist(tmp_path, capsys, fmt):
     assert out == (GOLDEN / f"info-empty.{fmt}").read_text()
 
 
+def test_every_golden_output_has_a_case():
+    # CI checks the installed package with this file alone, so an output
+    # without a case here would go unchecked
+    cases = set(CASES) | {"info-empty"}
+    for fmt in ("csv", "tsv", "json"):
+        assert {p.stem for p in GOLDEN.glob(f"*.{fmt}")} == cases, fmt
+
+
 def test_mixed_pajek_file_reads_as_karate():
     assert (GOLDEN / "compare-mixed.csv").read_text() == (GOLDEN / "compare.csv").read_text()
