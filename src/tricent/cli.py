@@ -24,11 +24,10 @@ from .experiments import (
     rank_top_k,
     removal_impact,
 )
-from .graph import ParseError, _triangle_counts, density, load_graph
+from .graph import _READERS, ParseError, _triangle_counts, density, load_graph
 from .measures import ConvergenceError, Measure, compute
 
 _FORMATS = ("csv", "json", "tsv")
-_INPUT_FORMATS = ("auto", "pajek", "edgelist")
 
 # A table is a header plus rows of JSON-ready values: ints, strings, floats
 # already rounded to their printed precision, node lists, or None.
@@ -91,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("inputs", nargs="+", metavar="input", help="network file(s)")
         else:
             p.add_argument("inputs", nargs=1, metavar="input", help="network file")
-        p.add_argument("--input-format", choices=_INPUT_FORMATS, default="auto")
+        p.add_argument("--input-format", choices=("auto", *_READERS), default="auto")
         p.add_argument("--format", choices=_FORMATS, default="csv", dest="output_format")
 
     def numeric(p: argparse.ArgumentParser) -> None:

@@ -46,8 +46,7 @@ class Graph:
         ends = [x for u, v in edges for x in (u, v)]
         self._labels: list[NodeId] = sorted({*nodes, *ends})
         self._index = {v: k for k, v in enumerate(self._labels)}
-        rows = np.fromiter(map(self._index.__getitem__, ends), np.intp, len(ends))
-        self._indptr, self._indices = _adjacency(len(self._labels), rows)
+        self._indptr, self._indices = _adjacency(len(self._labels), self._rows(ends))
 
     @classmethod
     def _of(cls, labels: list[NodeId], csr: Tuple[np.ndarray, np.ndarray]) -> "Graph":
@@ -87,9 +86,9 @@ class Graph:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
 
     def _rows(self, labels: Iterable[NodeId]) -> np.ndarray:
-        """Sorted distinct rows of ``labels``; UnknownNodeError names a missing one."""
+        """The row of each of ``labels``, in order; UnknownNodeError names a missing one."""
         try:
-            return np.unique(np.fromiter(map(self._index.__getitem__, labels), np.intp))
+            return np.fromiter(map(self._index.__getitem__, labels), np.intp)
         except KeyError as err:
             raise UnknownNodeError(err.args[0]) from None
 
@@ -115,7 +114,7 @@ class Graph:
 
     def induced_subgraph(self, keep: Iterable[NodeId]) -> "Graph":
         """Subgraph on ``keep``: those nodes plus every edge between them."""
-        rows = self._rows(keep)
+        rows = np.unique(self._rows(keep))
         new = np.full(len(self._labels), -1)
         new[rows] = np.arange(len(rows))
         # rows ascend, so the kept entries stay row-major with sorted columns
@@ -247,15 +246,16 @@ def parse_edgelist(text: str) -> Graph:
         start = lf.find("\n", start) + 1 or len(lf)
     pairs = _plain_pairs(lf[start:])
     if pairs is None:
-        return _scan_edgelist(text)
+        return _scan_edgelist(lf)
     labels, rows = np.unique(pairs, return_inverse=True)
     return Graph._of(labels.tolist(), _adjacency(len(labels), rows))
 
 
-def _scan_edgelist(text: str) -> Graph:
-    """parse_edgelist one line at a time: any input, and the line of an error."""
+def _scan_edgelist(lf: str) -> Graph:
+    """parse_edgelist one line at a time, on text whose line ends are all LF: any
+    input, and the line of an error."""
     pairs: list[Tuple[NodeId, NodeId]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lf.split("\n"), start=1):
         body = raw.split("#", 1)[0]
         parts = body.split()
         if not parts:
@@ -429,15 +429,15 @@ def _scan_body(body: str, section: str | None, n: int | None, lineno: int) -> np
     return np.array(pairs, np.int64).reshape(-1, 2)
 
 
+_READERS = {"pajek": parse_pajek, "edgelist": parse_edgelist}
+
+
 def load_graph(path: str | Path, fmt: str = "auto") -> Graph:
     """Read a network file. ``fmt`` is ``pajek``, ``edgelist``, or ``auto``
     (``.net`` extension means Pajek, anything else a plain edge list)."""
     path = Path(path)
     if fmt == "auto":
         fmt = "pajek" if path.suffix.lower() == ".net" else "edgelist"
-    text = path.read_text(encoding="utf-8-sig")  # skips one leading byte-order mark
-    if fmt == "pajek":
-        return parse_pajek(text)
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    if fmt not in _READERS:
+        raise ValueError(f"unknown graph format {fmt!r}")
+    return _READERS[fmt](path.read_text(encoding="utf-8-sig"))  # skips one leading byte-order mark

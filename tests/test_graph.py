@@ -279,6 +279,12 @@ def test_load_graph_format_resolution(tmp_path):
     assert load_graph(txt, fmt="edgelist").edge_count == 1
     with pytest.raises(ValueError):
         load_graph(txt, fmt="adjacency")
+    # an unknown format is rejected before the file is opened or decoded
+    latin = tmp_path / "latin.net"
+    latin.write_bytes(b"*Vertices 1\n1 \"\xe9\"\n")
+    for path in (tmp_path / "missing.net", latin):
+        with pytest.raises(ValueError, match=r"^unknown graph format 'xml'$"):
+            load_graph(path, fmt="xml")
 
 
 def test_load_graph_karate_file(karate):
@@ -593,6 +599,7 @@ def test_subgraphs_equal_a_rebuild_from_filtered_edges(name):
         _assert_well_formed(sub)
         rest = g.remove_nodes(iter(chosen))
         assert rest == _rebuild(g, set(nodes) - set(chosen))
+        assert g.remove_nodes(chosen + chosen[:2]) == rest  # so do repeated victims
         assert list(rest.nodes) == sorted(set(nodes) - set(chosen))
         _assert_well_formed(rest)
 

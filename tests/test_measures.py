@@ -469,13 +469,16 @@ def test_every_measure_returns_a_plain_dict_in_node_order(triangle):
 
 
 def test_sdeg_bounded_by_degree_bulk():
-    # wide seeded sweep: 1000 random graphs up to n = 64
+    # wide seeded sweep of the whole-graph triangle pass: 1000 random graphs up
+    # to n = 64; the per-node sdeg filters neighbors(), so it is bounded by design
     rng = random.Random(20260819)
     for _ in range(1000):
         n = rng.randint(2, 64)
         g = random_graph(rng, n, rng.random())
-        for v in g.nodes:
-            assert sdeg(g, v) <= g.degree(v)
+        sizes, triangles, degrees = sdeg_centrality(g), triangle_count_centrality(g), degree_centrality(g)
+        for v, d in degrees.items():
+            assert sizes[v] <= d
+            assert triangles[v] <= d * (d - 1) / 2
 
 
 def test_adding_edge_between_neighbors_never_decreases_sdeg():
