@@ -114,7 +114,16 @@ class Graph:
 
     def induced_subgraph(self, keep: Iterable[NodeId]) -> "Graph":
         """Subgraph on ``keep``: those nodes plus every edge between them."""
-        rows = np.unique(self._rows(keep))
+        return self._slice(np.unique(self._rows(keep)))
+
+    def remove_nodes(self, victims: Iterable[NodeId]) -> "Graph":
+        """Graph with ``victims`` (and their incident edges) deleted."""
+        keep = np.ones(len(self._labels), bool)
+        keep[self._rows(victims)] = False
+        return self._slice(np.flatnonzero(keep))
+
+    def _slice(self, rows: np.ndarray) -> "Graph":
+        """Subgraph on ``rows``, which ascend without repeats."""
         new = np.full(len(self._labels), -1)
         new[rows] = np.arange(len(rows))
         # rows ascend, so the kept entries stay row-major with sorted columns
@@ -122,12 +131,6 @@ class Graph:
         kept = (at >= 0) & (col >= 0)
         indptr = np.searchsorted(at[kept], np.arange(len(rows) + 1))
         return Graph._of(list(map(self._labels.__getitem__, rows.tolist())), (indptr, col[kept]))
-
-    def remove_nodes(self, victims: Iterable[NodeId]) -> "Graph":
-        """Graph with ``victims`` (and their incident edges) deleted."""
-        keep = np.ones(len(self._labels), bool)
-        keep[self._rows(victims)] = False
-        return self.induced_subgraph(map(self._labels.__getitem__, np.flatnonzero(keep).tolist()))
 
 
 def _adjacency(n: int, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -291,12 +294,6 @@ _DIGITS = bytes.maketrans(b"123456789\t", b"000000000 ")
 def _plain_pairs(body: str) -> np.ndarray | None:
     """``body`` as an (m, 2) int64 array when every nonblank line of it is two
     decimal integers of at most 18 digits, and None for any other body."""
-    tokens = _plain_tokens(body)
-    return None if tokens is None else np.fromstring(body, np.int64, tokens, sep=" ").reshape(-1, 2)
-
-
-def _plain_tokens(body: str) -> int | None:
-    """The number of tokens in ``body`` when _plain_pairs reads it, else None."""
     if not body.isascii():
         return None
     shape = body.encode().translate(_DIGITS)
@@ -318,8 +315,11 @@ def _plain_tokens(body: str) -> int | None:
     mark |= np.equal(s, ord("\n"), out=digit)
     del digit  # freed before the marked bytes are copied
     marks = s[mark].tobytes()
-    pairs = marks.count(b"00")
-    return 2 * pairs if 2 * pairs == marks.count(b"0") and b"000" not in marks else None
+    del shape, s, mark  # freed before fromstring's array is made
+    tokens = 2 * marks.count(b"00")
+    if tokens != marks.count(b"0") or b"000" in marks:
+        return None
+    return np.fromstring(body, np.int64, tokens, sep=" ").reshape(-1, 2)
 
 
 # Pajek section keyword -> what its body lines hold; *Network only names the file

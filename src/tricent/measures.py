@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List
 
 import numpy as np
 
@@ -139,13 +139,13 @@ def _batch_width(g: Graph) -> int:
     return 64 * max(1, _DISTANCE_CELLS // max(len(g._indices), g.node_count, 1))
 
 
-def _bfs_levels(g: Graph, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+def _bfs_levels(g: Graph, rows: np.ndarray) -> Iterator[np.ndarray]:
     """BFS from all of ``rows`` at once, one bit per source (Then et al., VLDB
     2014): bit j % 64 of word j // 64 stands for ``rows[j]``.
 
-    Yields (d, nxt) for d = 1, 2, ... while some source still grows. Row v of
-    the (n, words) uint64 array nxt holds the sources at distance d from v,
-    as the graph is undirected; the next level overwrites it.
+    Yields the levels d = 1, 2, ... while some source still grows. Row v of
+    level d, an (n, words) uint64 array, holds the sources at distance d from
+    v, as the graph is undirected; the next level overwrites it.
     """
     indptr, indices = g._indptr, g._indices
     j = np.arange(len(rows))
@@ -157,7 +157,6 @@ def _bfs_levels(g: Graph, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
     # reduceat gives a row without neighbours the next row's first word, which
     # unseen clears; the zero row past the end keeps every start in range
     gathered = np.zeros((len(indices) + 1, frontier.shape[1]), np.uint64)
-    d = 0
     while True:
         np.take(frontier, indices, axis=0, out=gathered[:-1])
         np.bitwise_or.reduceat(gathered, indptr[:-1], axis=0, out=nxt)
@@ -165,8 +164,7 @@ def _bfs_levels(g: Graph, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
         if not nxt.any():
             return
         unseen ^= nxt
-        d += 1
-        yield d, nxt
+        yield nxt
         frontier, nxt = nxt, frontier
 
 
@@ -234,13 +232,12 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
     """
     _require_nonempty(g)
     n = g.node_count
-    a = _matrix(g)
     acc = np.zeros(n)
-    nbrs = None
+    a = nbrs = None
     for rows in _blocks(np.arange(n), max(1, _DISTANCE_CELLS // n)):
         width = len(rows)
         levels = []  # levels[d - 1]: the (n, width) mask of distance d
-        for d, nxt in _bfs_levels(g, rows):
+        for d, nxt in enumerate(_bfs_levels(g, rows), 1):
             if d > _BETWEENNESS_DEPTH:
                 if nbrs is None:
                     indptr, indices = g._indptr.tolist(), g._indices.tolist()
@@ -252,6 +249,8 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
                 break
             levels.append(_bits(nxt, width))
         else:
+            if a is None:
+                a = _matrix(g)
             sigma = np.zeros((n, width))
             sigma[rows, np.arange(width)] = 1.0
             for level in levels:  # level d touches only d - 1, d, d + 1, and sigma is 0 from d on
@@ -286,7 +285,7 @@ def closeness_centrality(g: Graph) -> Dict[NodeId, float]:
     far = []
     for rows in _blocks(np.arange(n), _batch_width(g)):
         scratch = np.empty((2, n, -(-len(rows) // 64)), np.uint64)
-        for d, nxt in _bfs_levels(g, rows):
+        for d, nxt in enumerate(_bfs_levels(g, rows), 1):
             if d > _CLOSENESS_DEPTH:
                 far.append(rows[_bits(np.bitwise_or.reduce(nxt, axis=0), len(rows))])
                 break
@@ -306,6 +305,13 @@ def closeness_centrality(g: Graph) -> Dict[NodeId, float]:
     return _scores(g, (reached / max(n - 1, 1)) * (reached / np.maximum(total, 1)))
 
 
+def _check_solver(tol: float, max_iter: int) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+
+
 def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -> Dict[NodeId, float]:
     """Principal-eigenvector scores by power iteration from the uniform vector.
 
@@ -315,10 +321,7 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -
     without edges score 0 everywhere; isolated nodes decay to ~0.
     """
     _require_nonempty(g)
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
+    _check_solver(tol, max_iter)
     if g.edge_count == 0:
         return _scores(g, [0.0] * g.node_count)
     n = g.node_count
@@ -352,10 +355,7 @@ def pagerank(
     _require_nonempty(g)
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie strictly between 0 and 1")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
+    _check_solver(tol, max_iter)
     n = g.node_count
     a = _matrix(g)
     deg = np.diff(g._indptr).astype(float)

@@ -282,7 +282,10 @@ def test_leading_byte_order_mark_is_skipped(tmp_path, capsys):
 
 
 def test_cli_import_and_triangle_commands_leave_scipy_unloaded():
-    # scipy is imported only on the first BC, CNC, EC or PR call
+    # scipy is imported for EC, for PR, for a BC block that takes the sparse
+    # products, and for CNC only when a source is deeper than 5 levels; every
+    # source of karate and hk-332.net is within 5, and every BC block of
+    # deep.edges runs per-source Brandes
     env = dict(os.environ, PYTHONPATH=str(Path(tricent.__file__).resolve().parent.parent))
     code = """if True:
         import contextlib, io, sys
@@ -290,13 +293,17 @@ def test_cli_import_and_triangle_commands_leave_scipy_unloaded():
         def scipy_modules():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         print(scipy_modules())
-        for path in sys.argv[1:]:
-            for argv in [["info", path]] + [["rank", path, "--measure", m] for m in ("tc", "tr", "sdeg", "dc")]:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert tricent.cli.main(argv) == 0, argv
+        *paths, deep = sys.argv[1:]
+        runs = [["rank", deep, "--measure", "bc"]]
+        for path in paths:
+            runs += [["info", path]] + [["rank", path, "--measure", m] for m in ("tc", "tr", "sdeg", "dc", "cnc")]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert tricent.cli.main(argv) == 0, argv
         print(scipy_modules())
     """
-    paths = [KARATE, str(Path(__file__).resolve().parent / "golden" / "hk-332.net")]
+    golden = Path(__file__).resolve().parent / "golden"
+    paths = [KARATE, str(golden / "hk-332.net"), str(golden / "deep.edges")]
     got = subprocess.run(
         [sys.executable, "-c", code, *paths], env=env, capture_output=True, text=True, timeout=60
     )

@@ -162,8 +162,11 @@ def betweenness_graphs(karate):
     # 32 and 33 BFS levels from an end: either side of _BETWEENNESS_DEPTH
     path33, path34 = (Graph([(v, v + 1) for v in range(n - 1)]) for n in (33, 34))
     graphs = [karate, *(load_graph(GOLDEN / name) for name in files)]
-    graphs += [split, ring, diamonds, mixed, path33, path34]
+    # edgeless: no source reaches anything, so the BFS yields no level
+    edgeless3, edgeless1 = Graph([], nodes=[1, 2, 3]), Graph([], nodes=[5])
+    graphs += [split, ring, diamonds, mixed, path33, path34, edgeless3, edgeless1]
     names = ["karate", *files, "split", "ring", "diamonds", "mixed", "path-33", "path-34"]
+    names += ["edgeless-3", "edgeless-1"]
     return dict(zip(names, graphs))
 
 
