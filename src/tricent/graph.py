@@ -284,25 +284,19 @@ def _lf(text: str) -> str:
     return text
 
 
-# Maps digits to b"0" and tabs to spaces. A body that becomes only b"0", b" ",
-# b"\n" and b"-", with no run of 19 zeros, and in which every b"-" starts a
-# token and has a digit after it, holds only int64 tokens that fromstring and
-# int() read alike.
+# Maps digits to b"0" and tabs to spaces. A body that becomes only b"0", b" "
+# and b"\n", with no run of 19 zeros, holds only unsigned int64 tokens that
+# fromstring and int() read alike.
 _DIGITS = bytes.maketrans(b"123456789\t", b"000000000 ")
 
 
 def _plain_pairs(body: str) -> np.ndarray | None:
     """``body`` as an (m, 2) int64 array when every nonblank line of it is two
-    decimal integers of at most 18 digits, and None for any other body."""
+    unsigned decimal integers of at most 18 digits, and None for any other body."""
     if not body.isascii():
         return None
     shape = body.encode().translate(_DIGITS)
-    if shape.translate(None, b"0 \n-") or b"0" * 19 in shape:
-        return None
-    # every "-" starts a token and has a digit after it: fromstring reads "1 - 2"
-    # as 1 and -2, and raises or stops early, by numpy version, on "1-2" or "2-"
-    signs = shape.count(b"-")
-    if signs and shape.count(b" -0") + shape.count(b"\n-0") + shape.startswith(b"-0") != signs:
+    if shape.translate(None, b"0 \n") or b"0" * 19 in shape:
         return None
     # one b"0" for the first digit of each token and one b"\n" for each line
     # end, so a line of two tokens leaves b"00"; the first byte is kept too, and

@@ -349,7 +349,7 @@ def _plain_files(rng: random.Random):
     edges = ["".join(f"{u} {v}\n" if k % 7 else f"\t{u}\t {v} \n\n" for k, (u, v) in part)
              for part in (list(enumerate(pairs))[:700], list(enumerate(pairs))[700:])]
     pajek = f"*Network plain\n*Vertices {n}\n{vertices}*Edges\n{edges[0]}\n*arcs\n{edges[1]}"
-    labels = [rng.randint(-(10**18) + 1, 10**18 - 1) for _ in range(n)]  # at most 18 digits
+    labels = [rng.randint(0, 10**18 - 1) for _ in range(n)]  # unsigned, at most 18 digits
     edgelist = "".join(f"{labels[u - 1]} {labels[v - 1]}\n" for u, v in pairs)
     return [(".net", pajek), (".net", pajek.replace("\n", "\r\n")), (".edges", edgelist)]
 
@@ -488,6 +488,28 @@ def test_plain_files_skip_the_line_scan(monkeypatch, tmp_path):
         assert read(text) == load_graph(path) == oracle(text)  # reading a file maps CRLF to LF
     assert load_graph(DATA_DIR / "karate.net") == Graph(KARATE_EDGES)
     assert load_graph(GOLDEN / "hk-332.net").edge_count == 1956
+
+
+def test_signed_labels_take_the_line_scan(monkeypatch):
+    # the plain grammar is unsigned, so a body holding a "-" anywhere is read
+    # line by line, to the same graph or error
+    from tricent import graph
+
+    bodies, plain_pairs = {}, graph._plain_pairs
+    monkeypatch.setattr(graph, "_plain_pairs", lambda body: bodies.setdefault(body, plain_pairs(body)))
+    for reader, text in READER_EDGE_CASES:
+        try:
+            reader(text)
+        except ParseError:
+            pass
+    signed = [body for body in bodies if "-" in body]
+    assert len(signed) >= 10 and all(bodies[body] is None for body in signed)
+    scans, scan = [], graph._scan_edgelist
+    monkeypatch.setattr(graph, "_scan_edgelist", lambda lf: scans.append(lf) or scan(lf))
+    edgelist = _plain_files(random.Random(5))[2][1]
+    negated = "".join(f"-{u} -{v}\n" for u, v in map(str.split, edgelist.splitlines()))
+    assert parse_edgelist(negated) == oracle_parse_edgelist(negated)
+    assert len(scans) == 1
 
 
 def test_a_plain_file_is_read_within_six_times_its_size(tmp_path):
