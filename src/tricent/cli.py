@@ -29,8 +29,8 @@ from .measures import ConvergenceError, Measure, compute
 
 _FORMATS = ("csv", "json", "tsv")
 
-# A table is a header plus rows of JSON-ready values: ints, strings, floats
-# already rounded to their printed precision, node lists, or None.
+# A table is a header plus rows of JSON-ready values: ints, strings, raw
+# floats, node lists, or None. render rounds the floats to their printed precision.
 Table = Tuple[List[str], List[list]]
 
 
@@ -139,11 +139,6 @@ def _name(path: str) -> str:
     return Path(path).stem
 
 
-def _six(value: float) -> float:
-    """``value`` rounded to the 6 significant digits it prints with."""
-    return float(f"{value:.6g}")
-
-
 def render(
     args: argparse.Namespace,
     graph,
@@ -154,12 +149,18 @@ def render(
 ) -> str:
     """The one output path: a table (plus an optional plot table) as csv, tsv or json.
 
-    In csv/tsv every float prints with ``float_format``, a node list as
-    space-separated labels and None as ``undefined``; the plot table follows
-    after a blank line. In json the rows become objects keyed by the header,
-    and the plot table becomes its columns.
+    Every float of both tables is rounded to ``float_format`` first. In csv/tsv
+    a node list prints as space-separated labels and None as ``undefined``; the
+    plot table follows after a blank line. In json the rows become objects keyed
+    by the header, and the plot table becomes its columns.
     """
-    header, rows = table
+
+    def rounded(rows: List[list]) -> List[list]:
+        return [[float(format(v, float_format)) if isinstance(v, float) else v for v in row] for row in rows]
+
+    header, rows = table[0], rounded(table[1])
+    if plot is not None:
+        plot = (plot[0], rounded(plot[1]))
     if args.output_format == "json":
         doc = {
             "graph": graph,
@@ -197,7 +198,7 @@ def cmd_rank(args: argparse.Namespace) -> str:
     path = args.inputs[0]
     scores = compute(load_graph(path, fmt=args.input_format), args.measure, **_solver(args))
     top = rank_top_k(scores, args.k)
-    rows = [[r, node, _six(scores[node])] for r, node in enumerate(top, start=1)]
+    rows = [[r, node, scores[node]] for r, node in enumerate(top, start=1)]
     params = {"measure": args.measure.value, "k": args.k, **_solver(args)}
     return render(args, _name(path), params, (["rank", "node", "score"], rows))
 
@@ -225,12 +226,12 @@ def cmd_ablate(args: argparse.Namespace) -> str:
     names = [_name(p) for p in args.inputs]
     for name, g in zip(names, graphs):
         report = removal_impact(g, args.k, args.measures, **_solver(args))
-        plot_rows.append([name] + [round(dens, 4) for dens, _ in report.values()])
+        plot_rows.append([name] + [dens for dens, _ in report.values()])
         for m, (dens, removed) in report.items():
-            rows.append([name, m.value, round(dens, 4), list(removed)])
+            rows.append([name, m.value, dens, list(removed)])
         if args.random_baseline:
             baseline = random_removal_density(g, args.k, trials=100, seed=args.seed)
-            rows.append([name, "RAND", round(baseline, 4), []])
+            rows.append([name, "RAND", baseline, []])
 
     plot = (["network"] + tags, plot_rows) if args.plot_series else None
     graph = names[0] if len(names) == 1 else names
@@ -243,7 +244,7 @@ def cmd_info(args: argparse.Namespace) -> str:
     path = args.inputs[0]
     g = load_graph(path, fmt=args.input_format)
     triangle_total = int(_triangle_counts(g)[0].sum()) // 3
-    dens = _six(density(g)) if g.node_count >= 2 else None
+    dens = density(g) if g.node_count >= 2 else None
     rows = [[g.node_count, g.edge_count, dens, triangle_total]]
     return render(args, _name(path), {}, (["nodes", "edges", "density", "triangles"], rows))
 

@@ -377,7 +377,7 @@ def parse_pajek(text: str) -> Graph:
             raise ParseError(f"{parts[0]} before *Vertices", lineno)
         section, body, lineno = _SECTIONS[key] or section, end, lineno + 1
     if n is None:
-        raise ParseError("missing *Vertices header", len(text.splitlines()) or 1)
+        raise ParseError("missing *Vertices header", lf.count("\n") + (not lf.endswith("\n")))
     ends = np.concatenate(ends)
     ends -= 1  # label v is row v - 1
     del pairs  # the last section's rows, copied into ends

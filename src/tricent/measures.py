@@ -220,8 +220,8 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
     """Shortest-path betweenness over unordered node pairs (Brandes).
 
     Each node's score is the sum over pairs (s, t) of the fraction of
-    shortest s-t paths passing through it, scaled by 2/((n-1)(n-2)) for
-    n >= 3, which never changes rank order.
+    shortest s-t paths passing through it, scaled by 2/((n-1)(n-2)), which
+    never changes rank order. Below 3 nodes every score is 0.
 
     Sources run in blocks, whose BFS levels come from the bit-parallel BFS. A
     block at most ``_BETWEENNESS_DEPTH`` levels deep counts shortest paths
@@ -260,9 +260,8 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
                 share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=levels[d])
                 np.multiply(a @ share, sigma, out=delta, where=levels[d - 1])
             acc += delta.sum(axis=1)
-    # every unordered pair was accumulated from both endpoints
-    scale = 1.0 / ((n - 1) * (n - 2)) if n >= 3 else 0.5
-    return _scores(g, acc * scale)
+    # every unordered pair was accumulated from both endpoints; below 3 nodes acc is all 0
+    return _scores(g, acc * (1.0 / max((n - 1) * (n - 2), 1)))
 
 
 def closeness_centrality(g: Graph) -> Dict[NodeId, float]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tricent
-from tricent.cli import main
+from tricent.cli import main, render
 
 from conftest import DATA_DIR
 
@@ -203,6 +204,57 @@ def test_input_format_overrides_the_extension(tmp_path, capsys):
     want = run_cli(capsys, "info", TOY)
     assert want[0] == 0
     assert run_cli(capsys, "info", str(edges_net), "--input-format", "edgelist") == want
+
+
+# ---------------------------------------------------------------------- render
+
+# each on or near a rounding boundary of .6g or .4f
+BOUNDARY_FLOATS = [0.1234565, 5e-05, 999999.5, 1234567.0, 0.1]
+
+
+@pytest.mark.parametrize("float_format, with_plot", [(".6g", False), (".4f", True)])
+def test_render_puts_the_printed_numbers_in_json(float_format, with_plot):
+    header = ["name", "value", "nodes", "note"]
+    rows = [[f"v{i}", x, [i, i + 1], None] for i, x in enumerate(BOUNDARY_FLOATS)]
+    plot = (["network", "up", "down"], [[f"g{i}", x, -x] for i, x in enumerate(BOUNDARY_FLOATS)])
+
+    def out(fmt):
+        args = argparse.Namespace(output_format=fmt, command="rank")
+        return render(args, "g", {"k": 5}, (header, rows), float_format, plot if with_plot else None)
+
+    csv_text, doc = out("csv"), json.loads(out("json"))
+    assert out("tsv") == csv_text.replace(",", "\t")
+    table_text, _, plot_text = csv_text.partition("\n\n")
+    cells = [line.split(",") for line in table_text.splitlines()]
+    assert cells[0] == header
+    assert [c[1] for c in cells[1:]] == [format(x, float_format) for x in BOUNDARY_FLOATS]
+    assert [c[2:] for c in cells[1:]] == [[f"{i} {i + 1}", "undefined"] for i in range(len(rows))]
+    assert [row["value"] for row in doc["rows"]] == [float(c[1]) for c in cells[1:]]
+    assert [row["nodes"] for row in doc["rows"]] == [row[2] for row in rows]
+    if with_plot:
+        plot_cells = [line.split(",") for line in plot_text.splitlines()]
+        assert plot_cells[0] == plot[0]
+        assert doc["plot"]["networks"] == [c[0] for c in plot_cells[1:]]
+        for j, name in enumerate(plot[0][1:], start=1):
+            assert doc["plot"]["series"][name] == [float(c[j]) for c in plot_cells[1:]]
+    else:
+        assert plot_text == "" and "plot" not in doc
+
+
+def test_readme_cli_examples_match_the_output(capsys, monkeypatch):
+    readme = (DATA_DIR.parent / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in readme.split("```")[1::2] if "$ tricent " in b)
+    examples = [example.split("\n", 1) for example in block.split("$ tricent ")[1:]]
+    examples = [(command.split(), out.rstrip("\n") + "\n") for command, out in examples]
+    assert [argv for argv, _ in examples] == [
+        ["rank", "data/karate.net", "--measure", "tc", "--k", "5"],
+        ["compare", "data/karate.net", "--k", "5"],
+        ["ablate", "data/karate.net", "--k", "5", "--random-baseline"],
+        ["info", "data/karate.net"],
+    ]
+    monkeypatch.chdir(DATA_DIR.parent)
+    for argv, want in examples:
+        assert run_cli(capsys, *argv) == (0, want, ""), argv
 
 
 # ------------------------------------------------------------------ exit codes
