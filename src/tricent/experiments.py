@@ -53,11 +53,19 @@ def _check_k(g: Graph, k: int, where: str = "") -> None:
 
 
 def rank_top_k(scores: Mapping[NodeId, float], k: int) -> List[NodeId]:
-    """First min(k, n) nodes by descending score, ties by ascending label."""
+    """First min(k, n) nodes by descending score, ties by ascending label.
+
+    Only the nodes scored at or above the k-th largest score are sorted. NaN
+    scores, which no measure returns, are outside this contract.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    ordered = sorted(scores, key=lambda v: (-scores[v], v))
-    return ordered[:k]
+    import heapq  # not at module level: it slows `import tricent`
+
+    top = heapq.nlargest(k, scores.values())
+    if not top:
+        return []
+    return sorted((v for v in scores if scores[v] >= top[-1]), key=lambda v: (-scores[v], v))[:k]
 
 
 def comparison_table(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Iterable, Iterator, KeysView, Tuple
 
@@ -175,10 +176,11 @@ def triangles_at(g: Graph, i: NodeId) -> int:
 
 
 # Wedges per block of the triangle pass. On Holme-Kim graphs of 20k nodes and
-# 200k edges (919k wedges) and of 1224 nodes and 16.9k edges (111k wedges),
-# 2**17 raised the pass's peak allocation from 11.8 to 14.3 MB and from 2.4 to
-# 5.4 MB, and no cut from 2**13 to 2**17 was clearly faster.
-_BLOCK_WORK = 1 << 15
+# 200k edges (919k wedges) and of 1224 nodes and 16.9k edges (111k wedges), the
+# pass's peak allocation was 10.2 and 1.7 MB at 2**14, and 10.7 and 2.7 MB at
+# 2**15, where the row search's block temporaries also took a 10k-node graph's
+# pass to 5.2 times its column indices; no cut from 2**13 to 2**16 was faster.
+_BLOCK_WORK = 1 << 14
 
 
 def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
@@ -187,9 +189,11 @@ def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
     Nodes are ranked by (degree, row); U holds each edge once, in the row of
     its lower-ranked end, so even hubs have short rows. Each triangle i < j < k
     is found once, as the wedge of U's edges (i, j) and (i, k) that U's edge
-    (j, k) closes (Schank & Wagner's "forward" algorithm). It counts for each
-    of its three nodes, and marks its three edges; a node's sdeg is the number
-    of its edges marked.
+    (j, k) closes (Schank & Wagner's "forward" algorithm). The closing edge is
+    looked up in row j of U alone, by a branch-free binary search of
+    bit_length(U's longest row) steps. A triangle counts for each of its three
+    nodes, and marks its three edges; a node's sdeg is the number of its edges
+    marked.
     """
     n = len(g._labels)
     rank = np.empty(n, np.intp)
@@ -201,8 +205,10 @@ def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
     del src, dst, upper  # freed before U's edge arrays are made
     key.sort()  # row-major
     src, dst = np.divmod(key, n)  # edge e of U joins src[e] < dst[e]; dst ascends in a row
+    first = np.searchsorted(key, np.arange(n + 1) * n)  # row r of U is key[first[r]:first[r + 1]]
+    steps = [1 << b for b in reversed(range(int(np.diff(first).max(initial=0)).bit_length()))]
     # edge e opens a wedge with each later edge f of its row
-    wedges = np.searchsorted(key, np.arange(1, n + 1) * n)[src] - np.arange(1, len(key) + 1)
+    wedges = first[src + 1] - np.arange(1, len(key) + 1)
     before = np.concatenate([[0], np.cumsum(wedges)])  # wedges opened before edge e
     triangles, hit, start = np.zeros(n, np.int64), np.zeros(len(key), bool), 0
     while start < len(key):
@@ -212,13 +218,19 @@ def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
         shift = np.arange(start + 1, stop + 1) - (before[start:stop] - before[start])
         e = np.repeat(np.arange(start, stop), count)
         f = np.arange(len(e)) + np.repeat(shift, count)
-        closing = dst[e] * n + dst[f]  # the key of the edge that would close the wedge
-        at = np.searchsorted(key, closing)
-        found = key.take(at, mode="clip") == closing
+        row = dst[e]
+        closing = row * n + dst[f]  # the key of the edge that would close the wedge
+        # a lower-bound search in that row alone: the steps add up to at least
+        # its length, and every key of a later row lies above the closing key
+        at = first[row]
+        for s in steps:
+            at += (key[s - 1 :].take(at, mode="clip") < closing) * s  # key[at + s - 1], clipped
+        found = np.flatnonzero(key.take(at, mode="clip") == closing)  # also rejects a clipped overshoot past U's last row
         e, f, at = e[found], f[found], at[found]
         hit[e] = hit[f] = hit[at] = True
         triangles += np.bincount(np.concatenate([src[e], dst[e], dst[f]]), minlength=n)
         start = stop
+    del first, wedges, before  # freed before the sdeg counts are made
     sizes = np.bincount(src[hit], minlength=n) + np.bincount(dst[hit], minlength=n)
     return triangles[rank], sizes[rank]
 
@@ -349,11 +361,7 @@ def parse_pajek(text: str) -> Graph:
         at = lf.find("*", end)
     n, section, lineno, body, ends = None, None, 1, 0, []
     for start, end in [*heads, (len(lf), None)]:
-        # an *Edges or *Arcs body is read whole if _plain_pairs reads it and its ids lie in 1..n
-        pairs = _plain_pairs(lf[body:start]) if section == "pair" else None
-        if pairs is None or pairs.size and (pairs.min() < 1 or pairs.max() > n):
-            pairs = _scan_body(lf[body:start], section, n, lineno)
-        ends.append(pairs)
+        ends.append(_read_body(lf[body:start], section, n, lineno))
         if end is None:
             break
         lineno += lf.count("\n", body, start)
@@ -380,8 +388,36 @@ def parse_pajek(text: str) -> Graph:
         raise ParseError("missing *Vertices header", lf.count("\n") + (not lf.endswith("\n")))
     ends = np.concatenate(ends)
     ends -= 1  # label v is row v - 1
-    del pairs  # the last section's rows, copied into ends
     return Graph._of(list(range(1, n + 1)), _adjacency(n, ends))
+
+
+def _read_body(body: str, section: str | None, n: int | None, lineno: int) -> np.ndarray:
+    """The (u, v) rows of one section body, whose first line is line ``lineno``.
+    An *Edges or *Arcs body is read whole if _plain_pairs reads it and its ids
+    lie in 1..n, and a *Vertices body is checked whole if _plain_ids accepts it;
+    _scan_body reads every other body."""
+    if section == "vertex" and _plain_ids(body, n):
+        return np.empty((0, 2), np.int64)
+    pairs = _plain_pairs(body) if section == "pair" else None
+    if pairs is None or pairs.size and (pairs.min() < 1 or pairs.max() > n):
+        return _scan_body(body, section, n, lineno)
+    return pairs
+
+
+# One line start of a plain *Vertices body, with LF put before the body and
+# after it: an id of 1-8 digits, with no leading 0, and a space, a tab or LF.
+# re compiles it on first use, not at import.
+_PLAIN_ID = r"\n([1-9][0-9]{0,7})(?=[ \t\n])"
+
+
+def _plain_ids(body: str, n: int) -> bool:
+    """Whether every line of a *Vertices ``body`` starts with an id of 1-8 digits,
+    with no leading 0, that lies in 1..n and is followed by a space, a tab or LF:
+    ids that _scan_body accepts and int() reads alike."""
+    ids = re.findall(_PLAIN_ID, f"\n{body}\n")
+    if len(ids) != body.count("\n") + (body[-1:] not in "\n"):  # a last line without LF counts too
+        return False
+    return not ids or bool(np.fromstring(" ".join(ids), np.int64, sep=" ").max() <= n)
 
 
 def _scan_body(body: str, section: str | None, n: int | None, lineno: int) -> np.ndarray:

@@ -49,6 +49,21 @@ def test_rank_top_k_deterministic(karate):
     assert rank_top_k(scores, 10) == rank_top_k(scores, 10)
 
 
+def test_rank_top_k_matches_a_full_sort():
+    # only the nodes at or above the k-th score are sorted: ties across that
+    # cut, -0.0 beside 0.0, and ints beside floats must order as a full sort does
+    rng = random.Random(24)
+    pools = [[0.0, -0.0, 0.5, -0.5], [1, 2, 1.0, 2.0, 1.5, 0, -0.0], [rng.random() for _ in range(50)]]
+    for trial in range(60):
+        n = rng.randint(0, 40)
+        labels = rng.sample(range(-100, 100), n)
+        pool = pools[trial % 3]
+        scores = {v: rng.choice(pool) for v in labels}
+        for k in {0, 1, max(n - 1, 0), n, n + 3, rng.randint(0, n)}:
+            assert rank_top_k(scores, k) == sorted(scores, key=lambda v: (-scores[v], v))[:k], (scores, k)
+    assert rank_top_k({}, 0) == rank_top_k({}, 3) == []
+
+
 # ------------------------------------------------------------ comparison_table
 
 

@@ -149,6 +149,12 @@ def test_triangle_pass_matches_per_node_primitives(monkeypatch, block_work):
         load_graph(Path(__file__).resolve().parent / "golden" / "wide-labels.edges"),
         Graph(triad_rich(random.Random(4), shuffled, 4)),  # hubs under shuffled labels
         *(random_graph(rng, n, p) for n, p in [(9, 0.5), (40, 0.2), (120, 0.08)]),
+        Graph(combinations(range(40), 2)),  # K40: U's longest row has 39 entries, a search 6 steps
+        # U's last non-empty row is node 6's, its longest (hubs 1-4); the wedge of
+        # 7's edges to 6 and 5 searches that row for a key above all of U's
+        Graph([(6, h) for h in range(1, 5)] + [(7, 6), (7, 5), (7, 1)]
+              + [(h, 100 * h + j) for h in range(1, 6) for j in range(6 + 2 * (h == 5))]),
+        Graph([*combinations(range(1, 7), 2), *((10, v) for v in range(11, 21))], nodes=[30, 31]),  # K6, a star
     ]
     for g in graphs:
         triangles, sdeg = graph._triangle_counts(g)
@@ -417,13 +423,23 @@ READER_EDGE_CASES = [
     # are found ("\r\r\n" ends two lines), or when a final line end is lost
     (parse_pajek, "*Vertices 2\r\r\n*Edges\r\r\n1 5\r\n"), (parse_pajek, "*Vertices 2\r\r\n*Edges\r\n2 3 x\r\n"),
     (parse_pajek, "*Vertices 2\r\n*Edges\r\r\n1 2\r\r\n"), (parse_pajek, "% c\n\x0c"), (parse_pajek, "*Network x\r\n\r\n"),
-    (parse_pajek, "*Network x\x85"), (parse_pajek, "\n"), (parse_edgelist, "1 2\r\r\n3\r\n"), (parse_edgelist, "1 2\r\r\n3 4\r\n")]
+    (parse_pajek, "*Network x\x85"), (parse_pajek, "\n"), (parse_edgelist, "1 2\r\r\n3\r\n"), (parse_edgelist, "1 2\r\r\n3 4\r\n")
+] + [
+    # *Vertices bodies at the edge of the whole-body check: ids with a leading 0 or
+    # a sign, 0, n + 1, 9 or 20 digits; an id followed by \x1f or another blank that
+    # str.split knows; a leading blank, % and blank lines, a non-ASCII label, no final LF
+    (parse_pajek, "*Vertices 9\n" + text + "*Edges\n1 2\n") for text in
+    ["007 \"a\"\n", "009\n", "+1\n", "0\n", "10\n", "9\n10 \"b\"\n", "000000001\n", "123456789\n", "9" * 20 + "\n", "12345678\n",
+     "1\x1f\"a\"\n2\n", "1\u3000\"a\"\n", "1\"a\"\n", "1\x00\n", "\u0663\n", " 1 \"a\"\n", "\t2\n", "1\n% c\n2\n",
+     "1\n\n2\n", "%\n", "1 \"\u00e9\"\n2 \"\u4e2d\"\n", "9\t\n8 x\n"]
+] + [(parse_pajek, "*Vertices 3\n1\n3"), (parse_pajek, "*Vertices 3\n1\n4"), (parse_pajek, "*Vertices 3\n2 \"\u00e9\"")]
 
 
 def _scans_edges(name: str, args: tuple) -> bool:
-    """Whether a call of the line scan ``name`` with ``args`` reads edges. Every
-    *Vertices body, and the lines before the first section, are scanned on purpose."""
-    return name == "_scan_edgelist" or args[1] in ("pair", "list")
+    """Whether a call of the line scan ``name`` with ``args`` reads edges or
+    vertices. Only the lines before a Pajek file's first section are scanned on
+    purpose; a plain *Vertices body is checked whole."""
+    return name == "_scan_edgelist" or args[1] is not None
 
 
 @pytest.mark.parametrize("reader, text", READER_EDGE_CASES)
@@ -467,9 +483,10 @@ def test_plain_files_skip_the_line_scan(monkeypatch, tmp_path):
 
         monkeypatch.setattr(graph, name, refuse)
     plain = [*_plain_files(random.Random(5)), (".net", "*Vertices 3\n")]
-    # every edge section stays plain: comments outside *Edges and *Arcs bodies, a
-    # named *Network line, and any line ends str.splitlines knows; an edge
-    # list stays plain after a leading block of comments, as SNAP files have
+    # every section stays plain: *Vertices bodies of k "v k" lines or bare ids,
+    # comments before the first section, a named *Network line, and any line ends
+    # str.splitlines knows; an edge list stays plain after a leading block of
+    # comments, as SNAP files have
     pajek, edgelist = plain[0][1], plain[2][1]
     snap = "# Undirected graph: plain.txt\n# Nodes: 600 Edges: 2000\n# FromNodeId\tToNodeId\n"
     plain += [
@@ -479,7 +496,8 @@ def test_plain_files_skip_the_line_scan(monkeypatch, tmp_path):
         (".net", "% by hand\n\n*Network two words\n  % next: vertices\n" + pajek.split("\n", 1)[1]),
         (".net", pajek.replace("\n", "\x0c")),
         (".net", pajek.replace("\n", "\r\n", 700)),
-        (".net", pajek.replace('" 0.5 0.5\n', '" 0.5 0.5\n% vertex comment\n\n', 9)),
+        (".net", "*Vertices 12\n" + "".join(f"{v}\n" for v in range(1, 13)) + "*Edges\n3 12\n10 1\n"),
+        (".net", "*Vertices 10\n10\t\n1 \"\u00e9\"\n7"),  # a tab, a non-ASCII label, no final LF
     ]
     for k, (suffix, text) in enumerate(plain):
         path = tmp_path / f"plain{k}{suffix}"
@@ -515,7 +533,8 @@ def test_signed_labels_take_the_line_scan(monkeypatch):
 def test_a_plain_file_is_read_within_six_times_its_size(tmp_path):
     # fromstring and the CSR build in place keep the read's peak at about 4.7
     # times the file's size (8.2 with loadtxt); the triangle pass, whose peak
-    # here was 4.7 times the graph's column indices, stays within 5 times
+    # here is 4.2 times the graph's column indices (5.2 with blocks of 2**15
+    # wedges), stays within 5 times
     from tricent import graph
 
     rng = random.Random(18)
