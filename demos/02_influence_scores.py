@@ -12,6 +12,7 @@ from pathlib import Path
 from tricent import (
     Graph,
     load_graph,
+    rank_top_k,
     sdeg,
     tr_centrality,
     triangles_at,
@@ -46,7 +47,7 @@ def main() -> None:
 
     karate = load_graph(DATA / "karate.net")
     scores = tr_centrality(karate)
-    top = sorted(karate.nodes, key=lambda v: (-scores[v], v))[:5]
+    top = rank_top_k(scores, 5)
     print("karate club, five most influential nodes:")
     for rank, v in enumerate(top, start=1):
         print(f"  {rank}. node {v:>2}  TC={scores[v]:.2f}")

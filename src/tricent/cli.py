@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,7 +24,7 @@ from .experiments import (
     removal_impact,
 )
 from .graph import _READERS, ParseError, _triangle_counts, density, load_graph
-from .measures import ConvergenceError, Measure, compute
+from .measures import ConvergenceError, Measure, _check_solver, compute
 
 _FORMATS = ("csv", "json", "tsv")
 
@@ -56,20 +55,6 @@ def _parse_measure(text: str) -> Measure:
     return tags[0]
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return value
-
-
-def _open_unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("must lie strictly between 0 and 1")
-    return value
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -95,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def numeric(p: argparse.ArgumentParser) -> None:
         p.add_argument("--k", type=_positive_int, default=5)
-        p.add_argument("--damping", type=_open_unit_float, default=EXPERIMENT_DAMPING)
-        p.add_argument("--tol", type=_positive_float, default=1e-10)
-        p.add_argument("--max-iter", type=_positive_int, default=1000)
+        p.add_argument("--damping", type=float, default=EXPERIMENT_DAMPING)
+        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--max-iter", type=int, default=1000)
 
     p_rank = sub.add_parser("rank", help="top-k nodes for one measure")
     common(p_rank)
@@ -258,7 +243,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "tol" in args:  # the solvers' own rule, checked before any input is read
+        try:
+            _check_solver(**_solver(args))
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         text = _COMMANDS[args.command](args)
     except (ParseError, UnicodeDecodeError) as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -304,11 +304,25 @@ def closeness_centrality(g: Graph) -> Dict[NodeId, float]:
     return _scores(g, (reached / max(n - 1, 1)) * (reached / np.maximum(total, 1)))
 
 
-def _check_solver(tol: float, max_iter: int) -> None:
+def _check_solver(tol: float, max_iter: int, damping: Optional[float] = None) -> None:
+    """The iterative solvers' parameter rule, which the CLI applies too; a
+    given damping is checked first, then tol, then max_iter."""
+    if damping is not None and not 0.0 < damping < 1.0:
+        raise ValueError("damping must lie strictly between 0 and 1")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+
+
+def _iterate(step: Callable, x: np.ndarray, tol: float, max_iter: int, what: str) -> np.ndarray:
+    """Run ``result, residual, x = step(x)`` until the residual drops below
+    ``tol`` and return that result, or raise after ``max_iter`` steps."""
+    for _ in range(max_iter):
+        result, residual, x = step(x)
+        if residual < tol:
+            return result
+    raise ConvergenceError(f"{what} did not converge in {max_iter} steps", residual)
 
 
 def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -> Dict[NodeId, float]:
@@ -325,17 +339,15 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -
         return _scores(g, [0.0] * g.node_count)
     n = g.node_count
     a = _matrix(g)
-    x = np.full(n, 1.0 / math.sqrt(n))
-    residual = math.inf
-    for _ in range(max_iter):
+
+    def step(x):  # x, its residual, and the next shifted power-iteration vector
         ax = a @ x
         lam = float(x @ ax)
-        residual = float(np.max(np.abs(ax - lam * x)))
-        if residual < tol:
-            return _scores(g, x)
         y = ax + x
-        x = y / float(np.linalg.norm(y))
-    raise ConvergenceError(f"eigenvector iteration did not converge in {max_iter} steps", residual)
+        return x, float(np.max(np.abs(ax - lam * x))), y / float(np.linalg.norm(y))
+
+    x = np.full(n, 1.0 / math.sqrt(n))
+    return _scores(g, _iterate(step, x, tol, max_iter, "eigenvector iteration"))
 
 
 def pagerank(
@@ -352,25 +364,19 @@ def pagerank(
     floating-point error.
     """
     _require_nonempty(g)
-    if not 0.0 < damping < 1.0:
-        raise ValueError("damping must lie strictly between 0 and 1")
-    _check_solver(tol, max_iter)
+    _check_solver(tol, max_iter, damping)
     n = g.node_count
     a = _matrix(g)
     deg = np.diff(g._indptr).astype(float)
     dangling = deg == 0.0
-    deg[dangling] = 1.0  # a node without edges is in no row of a, so a @ share never reads it
-    rank = np.full(n, 1.0 / n)
-    change = math.inf
-    for _ in range(max_iter):
-        share = rank / deg
+    deg[dangling] = 1.0  # a node without edges is in no row of a, so the product never reads its share
+
+    def step(rank):  # the next ranks, how far they moved, and the next ranks again
         loose_mass = float(rank[dangling].sum())
-        nxt = (1.0 - damping) / n + damping * (a @ share + loose_mass / n)
-        change = float(np.max(np.abs(nxt - rank)))
-        rank = nxt
-        if change < tol:
-            return _scores(g, rank)
-    raise ConvergenceError(f"pagerank did not converge in {max_iter} steps", change)
+        nxt = (1.0 - damping) / n + damping * (a @ (rank / deg) + loose_mass / n)
+        return nxt, float(np.max(np.abs(nxt - rank))), nxt
+
+    return _scores(g, _iterate(step, np.full(n, 1.0 / n), tol, max_iter, "pagerank"))
 
 
 def compute(

@@ -462,6 +462,25 @@ def test_bad_usage_exits_2(capsys):
         assert captured.out == "" and message in captured.err
 
 
+BAD_SOLVER_OPTIONS = (
+    [("--tol", v, "tol must be positive and finite") for v in ("0", "-1", "nan", "inf")]
+    + [("--damping", v, "damping must lie strictly between 0 and 1") for v in ("0", "1", "nan")]
+    + [("--max-iter", v, "max_iter must be positive") for v in ("0", "-3")]
+)
+
+
+@pytest.mark.parametrize("path", [KARATE, "no-such-file.net"], ids=["karate", "missing"])
+@pytest.mark.parametrize("option, value, message", BAD_SOLVER_OPTIONS)
+@pytest.mark.parametrize("command", ["rank", "compare", "ablate"])
+def test_bad_solver_option_exits_2_before_any_read(capsys, command, option, value, message, path):
+    # the library's own rule, applied before the input is opened
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, option, value])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"tricent: error: {message}\n")
+
+
 # --------------------------------------------------------------- determinism
 
 

@@ -7,6 +7,7 @@ import random
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tricent import (
@@ -425,6 +426,60 @@ def test_pagerank_parameter_validation(karate):
 def test_pagerank_convergence_error(karate):
     with pytest.raises(ConvergenceError):
         pagerank(karate, max_iter=1, tol=1e-15)
+
+
+def test_pagerank_reports_damping_then_tol_then_max_iter(karate):
+    for kwargs, message in [
+        ({"damping": 1.0, "tol": 0.0, "max_iter": 0}, "damping must lie strictly between 0 and 1"),
+        ({"damping": 0.5, "tol": math.nan, "max_iter": 0}, "tol must be positive and finite"),
+        ({"damping": 0.5, "tol": 1e-10, "max_iter": 0}, "max_iter must be positive"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            pagerank(karate, **kwargs)
+        assert str(err.value) == message
+
+
+# ------------------------------------------------------------ non-convergence
+
+
+def _reference_residuals(g, solver, steps):
+    """The first ``steps`` residuals of a plain loop over the solvers' numpy
+    operations: EC's max-norm eigen-residual, PR's (damping 0.85) largest
+    per-node change."""
+    from scipy import sparse
+
+    n, damping = g.node_count, 0.85
+    a = sparse.csr_array((np.ones(len(g._indices)), g._indices, g._indptr), shape=(n, n))
+    deg = np.diff(g._indptr).astype(float)
+    dangling = deg == 0.0
+    deg[dangling] = 1.0
+    x = np.full(n, 1.0 / math.sqrt(n)) if solver == "ec" else np.full(n, 1.0 / n)
+    residuals = []
+    for _ in range(steps):
+        if solver == "ec":
+            ax = a @ x
+            lam = float(x @ ax)
+            residuals.append(float(np.max(np.abs(ax - lam * x))))
+            y = ax + x
+            x = y / float(np.linalg.norm(y))
+        else:
+            nxt = (1.0 - damping) / n + damping * (a @ (x / deg) + float(x[dangling].sum()) / n)
+            residuals.append(float(np.max(np.abs(nxt - x))))
+            x = nxt
+    return residuals
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("solver, what", [("ec", "eigenvector iteration"), ("pr", "pagerank")])
+@pytest.mark.parametrize("graph", ["karate", "isolated"])
+def test_non_convergence_reports_the_last_residual(karate, graph, solver, what, k):
+    g = karate if graph == "karate" else load_graph(GOLDEN / "isolated.net")
+    residual = _reference_residuals(g, solver, k)[-1]
+    assert residual >= 1e-10  # so the default tol cannot be met in k steps
+    with pytest.raises(ConvergenceError) as err:
+        eigenvector_centrality(g, max_iter=k) if solver == "ec" else pagerank(g, damping=0.85, max_iter=k)
+    assert str(err.value) == f"{what} did not converge in {k} steps (residual {residual:.3e})"
+    assert err.value.residual == residual
 
 
 # -------------------------------------------------------------------- dispatch
