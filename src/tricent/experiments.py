@@ -6,7 +6,7 @@ import random
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .graph import Graph, NodeId, _density
-from .measures import Measure, _require_nonempty, compute
+from .measures import Measure, _compute_each, _require_nonempty
 
 # Column order used by every comparison table and removal report.
 COMPARISON_MEASURES: Tuple[Measure, ...] = (
@@ -79,8 +79,8 @@ def comparison_table(
 ) -> Dict[Measure, Tuple[NodeId, ...]]:
     """Top-k nodes of each measure, keyed in ``measures`` order."""
     _require_nonempty(g)
-    solver = {"damping": damping, "tol": tol, "max_iter": max_iter}
-    return {m: tuple(rank_top_k(compute(g, m, **solver), k)) for m in measures}
+    each = _compute_each(g, measures, damping=damping, tol=tol, max_iter=max_iter)
+    return {m: tuple(rank_top_k(scores, k)) for m, scores in zip(measures, each)}
 
 
 def removal_impact(

@@ -45,13 +45,13 @@ def _scores(g: Graph, values: Iterable[float]) -> Dict[NodeId, float]:
     return dict(zip(g.nodes, np.asarray(values, dtype=float).tolist()))
 
 
-def _matrix(g: Graph):
-    """g's adjacency as a scipy CSR array with every entry 1.0, for its products.
+def _matrix(g: Graph, dtype=float):
+    """g's adjacency as a scipy CSR array with every entry 1, for its products.
     scipy is imported here, not at module level: it slows `import tricent`."""
     from scipy import sparse
 
     n = g.node_count
-    return sparse.csr_array((np.ones(len(g._indices)), g._indices, g._indptr), shape=(n, n))
+    return sparse.csr_array((np.ones(len(g._indices), dtype), g._indices, g._indptr), shape=(n, n))
 
 
 def sdeg(g: Graph, i: NodeId) -> int:
@@ -78,8 +78,7 @@ def tr_centrality(g: Graph) -> Dict[NodeId, float]:
     -0.02.
     """
     _require_nonempty(g)
-    triangles, sizes = _triangle_counts(g)
-    return _scores(g, 0.01 * (3 * sizes + triangles - 2))
+    return _scores(g, _FROM_TRIANGLES[Measure.TC](*_triangle_counts(g)))
 
 
 def sdeg_centrality(g: Graph) -> Dict[NodeId, float]:
@@ -94,16 +93,36 @@ def triangle_count_centrality(g: Graph) -> Dict[NodeId, float]:
     return _scores(g, _triangle_counts(g)[0])
 
 
+# the measures that one triangle pass's per-node (triangles, sizes) give
+_FROM_TRIANGLES = {
+    Measure.TC: lambda triangles, sizes: 0.01 * (3 * sizes + triangles - 2),
+    Measure.TR: lambda triangles, sizes: triangles,
+    Measure.SDEG: lambda triangles, sizes: sizes,
+}
+
+
 def degree_centrality(g: Graph) -> Dict[NodeId, float]:
     """Plain degree (number of direct links)."""
     _require_nonempty(g)
     return _scores(g, np.diff(g._indptr))
 
 
-# Distance cells per block of sources: BC's (n, width) sigma, delta and level
-# masks, or closeness's (width, n) shortest-path distances. A closeness batch
-# holds at most as many uint64 words per node array and gathers as many per level.
+# Distance cells per block of sources: BC's (n, width) sigma (float32 while
+# exact, then float64), delta and level masks, or closeness's (width, n)
+# shortest-path distances. A closeness batch holds at most as many uint64
+# words per node array and gathers as many per level.
 _DISTANCE_CELLS = 1 << 16
+
+# BC counts a level's shortest paths in float32 while every count on it is
+# below this, 2**24, the first integer above which float32 skips some.
+_FLOAT32_EXACT = 1 << 24
+
+# Share of a block's cells below which BC's back sweep reads and writes a
+# level's cells by index rather than in whole-array passes. On a 2-vCPU Xeon
+# a level's share costs about 5-6 ns a selected cell by index and 2 ns a
+# block cell in passes; shares of 0.05-0.3 timed alike on blogs-hk and
+# USAir-sized blocks, a 16x16 grid and 40 chains of 16 diamonds.
+_SPARSE_LEVEL = 0.1
 
 # Deepest BFS, in levels, for which betweenness runs a block of sources as
 # sparse x dense products. On a 2-vCPU Xeon a level of both sweeps costs about
@@ -158,7 +177,7 @@ def _bfs_levels(g: Graph, rows: np.ndarray) -> Iterator[np.ndarray]:
     # unseen clears; the zero row past the end keeps every start in range
     gathered = np.zeros((len(indices) + 1, frontier.shape[1]), np.uint64)
     while True:
-        np.take(frontier, indices, axis=0, out=gathered[:-1])
+        np.take(frontier, indices, axis=0, out=gathered[:-1], mode="clip")  # in range; "raise" buffers out
         np.bitwise_or.reduceat(gathered, indptr[:-1], axis=0, out=nxt)
         nxt &= unseen
         if not nxt.any():
@@ -191,6 +210,14 @@ def _popcount(words: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return c.sum(axis=1, dtype=np.int64)
 
 
+def _sparse_cells(level: np.ndarray) -> Optional[np.ndarray]:
+    """The flat indices of a level mask's cells, or None if it holds at least
+    ``_SPARSE_LEVEL`` of them, when whole-array passes are the faster."""
+    if np.count_nonzero(level) >= _SPARSE_LEVEL * level.size:
+        return None
+    return np.flatnonzero(level)
+
+
 def _brandes_source(s: int, nbrs: List[List[int]], acc: List[float]) -> None:
     """Add source s's dependencies to acc: one BFS and its back-propagation."""
     n = len(nbrs)
@@ -216,6 +243,63 @@ def _brandes_source(s: int, nbrs: List[List[int]], acc: List[float]) -> None:
             acc[w] += delta[w]
 
 
+def _dependencies(a, a32, levels: List[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Each node's dependencies summed over the sources ``rows``, from their
+    BFS ``levels`` (levels[d - 1] the (n, width) mask of distance d), by
+    sparse x dense products with the adjacency ``a`` and its float32 copy.
+
+    The forward sweep counts shortest paths (sigma) from the level-1 mask,
+    where every count is 1, and needs no mask of the level before: a node's
+    neighbours on its own level or the next still hold sigma 0. The counts
+    are integers, and every partial sum of a level-d count is at most that
+    count, so the sweep runs in float32 while a level's largest count stays
+    below ``_FLOAT32_EXACT``. The first level that reaches it is redone in
+    float64 from the last exact sigma, as are the levels after it.
+
+    The back sweep runs in float64. It touches a level with few cells by
+    index, else in whole-array passes, where an unreached cell's sigma of 1
+    keeps the divides finite and a product with the mask zeroes the cells
+    off the level. Each cell gets the same operations in the same order
+    either way, so every score is the one an all-float64 sweep gives.
+    """
+    sigma = levels[0].astype(np.float32)
+    sigma[rows, np.arange(len(rows))] = 1.0
+    for level in levels[1:]:  # level d touches only d - 1, d, d + 1, and sigma is 0 from d on
+        if sigma.dtype == np.float32:
+            step = a32 @ sigma
+            step *= level
+            if step.max() < _FLOAT32_EXACT:
+                sigma += step
+            else:  # this level and the rest in float64
+                sigma = sigma.astype(float)
+            del step  # each product is freed before the next is made
+        if sigma.dtype == np.float64:
+            sigma += a @ sigma * level
+    sigma = np.maximum(sigma, 1.0, dtype=float)
+    delta, share = np.zeros_like(sigma), np.zeros_like(sigma)
+    sigma_f, delta_f, share_f = sigma.reshape(-1), delta.reshape(-1), share.reshape(-1)
+    below = _sparse_cells(levels[-1])
+    # a level d - 1 cell's neighbours lie on levels d - 2 to d, so share may keep
+    # the levels deeper than d, and delta is 0 on level d - 1 until it is set
+    for d in range(len(levels) - 1, 0, -1):
+        cells, below = below, _sparse_cells(levels[d - 1])
+        if cells is None:
+            np.add(delta, 1.0, out=share)
+            share *= levels[d]
+            share /= sigma
+        else:
+            share_f[cells] = (1.0 + delta_f[cells]) / sigma_f[cells]
+        step = a @ share
+        if below is None:
+            step *= sigma
+            step *= levels[d - 1]
+            delta += step
+        else:
+            delta_f[below] = step.reshape(-1)[below] * sigma_f[below]
+        del step
+    return delta.sum(axis=1)
+
+
 def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
     """Shortest-path betweenness over unordered node pairs (Brandes).
 
@@ -225,17 +309,14 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
 
     Sources run in blocks, whose BFS levels come from the bit-parallel BFS. A
     block at most ``_BETWEENNESS_DEPTH`` levels deep counts shortest paths
-    (sigma) and back-propagates dependencies (delta) level by level, as
-    products of the adjacency with (n, width) arrays; a deeper block runs
-    Brandes' BFS per source. The forward sweep needs no mask of the level
-    before: a node's neighbours on its own level or the next still hold sigma 0.
+    and back-propagates dependencies level by level (``_dependencies``); a
+    deeper block runs Brandes' BFS per source.
     """
     _require_nonempty(g)
     n = g.node_count
     acc = np.zeros(n)
-    a = nbrs = None
+    a = a32 = nbrs = None
     for rows in _blocks(np.arange(n), max(1, _DISTANCE_CELLS // n)):
-        width = len(rows)
         levels = []  # levels[d - 1]: the (n, width) mask of distance d
         for d, nxt in enumerate(_bfs_levels(g, rows), 1):
             if d > _BETWEENNESS_DEPTH:
@@ -247,19 +328,13 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
                     _brandes_source(s, nbrs, part)
                 acc += part
                 break
-            levels.append(_bits(nxt, width))
+            levels.append(_bits(nxt, len(rows)))
         else:
+            if not levels:  # no source reaches anything, so every dependency is 0
+                continue
             if a is None:
-                a = _matrix(g)
-            sigma = np.zeros((n, width))
-            sigma[rows, np.arange(width)] = 1.0
-            for level in levels:  # level d touches only d - 1, d, d + 1, and sigma is 0 from d on
-                sigma += a @ sigma * level
-            delta = np.zeros_like(sigma)
-            for d in range(len(levels) - 1, 0, -1):
-                share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=levels[d])
-                np.multiply(a @ share, sigma, out=delta, where=levels[d - 1])
-            acc += delta.sum(axis=1)
+                a, a32 = _matrix(g), _matrix(g, np.float32)
+            acc += _dependencies(a, a32, levels, rows)
     # every unordered pair was accumulated from both endpoints; below 3 nodes acc is all 0
     return _scores(g, acc * (1.0 / max((n - 1) * (n - 2), 1)))
 
@@ -398,6 +473,18 @@ def compute(
     if measure is Measure.PR:
         return pagerank(g, damping=damping, tol=tol, max_iter=max_iter)
     return _PARAMETERLESS[measure](g)
+
+
+def _compute_each(g: Graph, measures: Iterable[Measure], **solver) -> Iterator[Dict[NodeId, float]]:
+    """``compute(g, m, **solver)`` for each of ``measures`` in turn, with one
+    triangle pass for all of TC, TR and SDEG."""
+    counts = None
+    for measure in measures:
+        if measure in _FROM_TRIANGLES:
+            counts = counts or _triangle_counts(g)
+            yield _scores(g, _FROM_TRIANGLES[measure](*counts))
+        else:
+            yield compute(g, measure, **solver)
 
 
 _PARAMETERLESS = {

@@ -167,6 +167,32 @@ def test_ablate_json_includes_plot(capsys):
     assert tc_rows[0]["removed"] == [1, 34, 33, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "argv, passes",
+    [
+        (("compare", KARATE), 1),  # TR and TC share it
+        (("compare", KARATE, "--measures", "tc,tr,sdeg,bc"), 1),
+        (("compare", KARATE, "--measures", "bc,ec"), 0),
+        (("ablate", KARATE, "--k", "5"), 1),
+        (("ablate", KARATE, TOY, "--k", "3", "--random-baseline"), 2),  # one per input
+    ],
+)
+def test_one_triangle_pass_per_graph_and_call(monkeypatch, capsys, argv, passes):
+    from tricent import measures
+
+    seen = []
+    real = measures._triangle_counts
+
+    def spy(g):
+        seen.append(g)
+        return real(g)
+
+    want = run_cli(capsys, *argv)
+    monkeypatch.setattr(measures, "_triangle_counts", spy)
+    assert run_cli(capsys, *argv) == want
+    assert len(seen) == passes and len(set(map(id, seen))) == passes
+
+
 # ------------------------------------------------------------------------ info
 
 
@@ -390,7 +416,7 @@ def test_ablate_checks_every_input_before_computing(capsys, monkeypatch, tmp_pat
     from tricent import experiments
 
     calls = []
-    monkeypatch.setattr(experiments, "compute", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(experiments, "_compute_each", lambda *a, **kw: calls.append(a))
     code, out, err = run_cli(capsys, "ablate", KARATE, TOY, "--k", "12")
     assert (code, out) == (4, "")
     assert err.endswith("toy.edges: k=12 must be smaller than the node count 12\n")

@@ -136,7 +136,7 @@ def test_removal_impact_k_too_large():
 def test_removal_leaving_one_node_rejected(karate, monkeypatch):
     from tricent import experiments
 
-    monkeypatch.setattr(experiments, "compute", lambda *a, **kw: pytest.fail("computed"))
+    monkeypatch.setattr(experiments, "_compute_each", lambda *a, **kw: pytest.fail("computed"))
     with pytest.raises(ValueError, match="k=2 leaves 1 of 3 nodes"):
         removal_impact(Graph([(1, 2), (2, 3)]), 2)
     with pytest.raises(ValueError, match="k=0 leaves 1 of 1 nodes"):

@@ -226,6 +226,52 @@ def test_betweenness_runs_per_source_brandes_only_for_deep_blocks(
     assert len(sources) == calls
 
 
+def _grid(k):
+    return Graph(
+        [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+        + [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
+    )
+
+
+def _layers(k, w):
+    """Node 0 joined to the first of k layers of w nodes, each joined whole to the next."""
+    layer = [list(range(1 + i * w, 1 + (i + 1) * w)) for i in range(k)]
+    return Graph([(0, v) for v in layer[0]] + [(u, v) for a, b in zip(layer, layer[1:]) for u in a for v in b])
+
+
+def _deep_counts():
+    # The 16x16 and 17x17 grids pass 2**24 paths partway through a corner's
+    # sweep (over 2**27 and 2**29 at the far corner). From node 0 of 7 layers
+    # of 17, the last layer's 17**6 paths are the first count above 2**24, and
+    # float32 would round it, being odd.
+    return {"grid-16": _grid(16), "grid-17": _grid(17), "layers-7x17": _layers(7, 17)}
+
+
+def test_betweenness_sweeps_past_2_24_paths_agree_with_brandes(monkeypatch):
+    for name, g in _deep_counts().items():
+        per_source = _betweenness_at(monkeypatch, g, "n", -1)
+        got = _betweenness_at(monkeypatch, g, "n", 10**9)
+        assert all(abs(got[v] - want) <= 1e-12 * want for v, want in per_source.items()), name
+
+
+@pytest.mark.parametrize("hook, forced", [("_FLOAT32_EXACT", 0), ("_SPARSE_LEVEL", 0), ("_SPARSE_LEVEL", 2)])
+def test_betweenness_sweep_paths_give_the_same_scores(monkeypatch, betweenness_graphs, hook, forced):
+    # _FLOAT32_EXACT 0 counts every level after the first in float64, and at
+    # depth 10**9 the 60 diamonds reach 2**60 paths. _SPARSE_LEVEL 0 runs every
+    # level of the back sweep in whole-array passes, 2 every level by index;
+    # the default mixes them within a block.
+    from tricent import measures
+
+    default = getattr(measures, hook)
+    for depth in (measures._BETWEENNESS_DEPTH, 10**9):
+        monkeypatch.setattr(measures, "_BETWEENNESS_DEPTH", depth)
+        for name, g in {**betweenness_graphs, **_deep_counts()}.items():
+            monkeypatch.setattr(measures, hook, default)
+            got = betweenness_centrality(g)
+            monkeypatch.setattr(measures, hook, forced)
+            assert got == betweenness_centrality(g), (name, depth)
+
+
 # ------------------------------------------------------------------- closeness
 
 
