@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from tricent import (
     COMPARISON_MEASURES,
+    DEFAULT_SEED,
     Graph,
     Measure,
     betweenness_centrality,
     comparison_table,
     density,
+    load_graph,
     random_removal_density,
     rank_top_k,
     removal_impact,
@@ -23,6 +26,8 @@ from tricent import (
 
 from conftest import random_connected_graph
 from oracles import oracle_betweenness, oracle_triangles
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # ------------------------------------------------------------------ rank_top_k
 
@@ -165,6 +170,28 @@ def test_random_removal_density_validation(karate):
         random_removal_density(karate, 40)
     with pytest.raises(ValueError):
         random_removal_density(karate, 5, trials=0)
+
+
+def _oracle_random_removal(g, k, trials, seed):
+    """The baseline spelled out: each trial's sample drawn in turn from one
+    seeded RNG, its residual graph built whole, the densities added in order."""
+    rng = random.Random(seed)
+    total = 0.0
+    for _ in range(trials):
+        total += density(g.remove_nodes(rng.sample(list(g.nodes), k)))
+    return total / trials
+
+
+@pytest.mark.parametrize("name", ["karate", "isolated.net", "wide-labels.edges", "hk-332.net"])
+def test_random_removal_density_matches_the_oracle(karate, name):
+    g = karate if name == "karate" else load_graph(GOLDEN / name)
+    for k in (0, 1, 5):
+        for trials, seed in ((100, DEFAULT_SEED), (7, 3), (1, 0)):
+            assert random_removal_density(g, k, trials, seed) == _oracle_random_removal(g, k, trials, seed), (
+                k,
+                trials,
+                seed,
+            )
 
 
 def test_targeted_removal_beats_random_on_karate(karate):
