@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from .graph import Graph, NodeId, _density
 from .measures import Measure, _compute_each, _require_nonempty
@@ -28,17 +31,31 @@ EXPERIMENT_DAMPING = 0.35
 DEFAULT_SEED = 42
 
 
-def _residual_density(g: Graph, removed: Iterable[NodeId]) -> float:
-    """``density(g.remove_nodes(removed))`` from edge counts alone.
+def _residual_densities(g: Graph, picks: np.ndarray) -> List[float]:
+    """``density(g.remove_nodes(S))`` for each row S of ``picks``, a 2-d
+    array whose rows each hold distinct rows of g, from edge counts alone.
 
     Deleting S leaves m' = m - sum(deg(v) for v in S) + e(S) edges, where e(S)
     counts the edges inside S (subtracted twice by the degree sum), on
-    n' = n - |S| nodes.
+    n' = n - |S| nodes. One pass over the picks' adjacency entries counts
+    both sums for every S.
     """
-    gone = set(removed)
-    inner = sum(len(g.neighbors(v) & gone) for v in gone) // 2
-    left = g.edge_count - sum(g.degree(v) for v in gone) + inner
-    return _density(g.node_count - len(gone), left)
+    sets, k = picks.shape
+    n, indptr = g.node_count, g._indptr
+    picks = picks.reshape(-1)
+    owner = np.repeat(np.arange(sets), k)  # the set of each pick
+    count = np.diff(indptr)[picks]
+    at = np.repeat(indptr[picks] - np.cumsum(count) + count, count)
+    at += np.arange(len(at))  # the adjacency entries of each pick, in turn
+    entry_set = np.repeat(owner, count)
+    picked = owner * n + picks  # keyed by set, so a pick counts only in its own set
+    picked.sort()
+    ends = entry_set * n + g._indices[at]
+    inside = picked.take(np.searchsorted(picked, ends), mode="clip") == ends
+    # an edge inside S is met from both of its ends
+    inner = np.bincount(entry_set[inside], minlength=sets) // 2
+    left = g.edge_count - np.bincount(entry_set, minlength=sets) + inner
+    return [_density(n - k, edges) for edges in left.tolist()]
 
 
 def _check_k(g: Graph, k: int, where: str = "") -> None:
@@ -99,7 +116,9 @@ def removal_impact(
     """
     _check_k(g, k)
     table = comparison_table(g, k, measures, damping=damping, tol=tol, max_iter=max_iter)
-    return {measure: (_residual_density(g, top), top) for measure, top in table.items()}
+    rows = g._rows(chain.from_iterable(table.values())).reshape(len(table), k)
+    densities = _residual_densities(g, rows)
+    return {measure: (density, top) for (measure, top), density in zip(table.items(), densities)}
 
 
 def random_removal_density(
@@ -108,13 +127,27 @@ def random_removal_density(
     trials: int = 100,
     seed: int = DEFAULT_SEED,
 ) -> float:
-    """Mean residual density after deleting k uniformly random nodes."""
+    """Mean residual density after deleting k uniformly random nodes.
+
+    Trial t removes ``rng.sample(list(g.nodes), k)``, the t-th draw of one
+    ``random.Random(seed)``, and its density is added to the total in trial
+    order. The trials run in chunks, whose gathers hold at most about as
+    many entries as the adjacency, or 2**16.
+    """
     _check_k(g, k)
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = random.Random(seed)
-    nodes = list(g.nodes)
+    n = g.node_count
+    widest = k * max(1, int(np.diff(g._indptr).max(initial=0)))  # a trial's most adjacency entries
+    per = max(1, max(len(g._indices), 1 << 16) // max(1, widest))  # trials per chunk
     total = 0.0
-    for _ in range(trials):
-        total += _residual_density(g, rng.sample(nodes, k))
+    for first in range(0, trials, per):
+        chunk = min(per, trials - first)
+        # rng.sample draws positions alone: from range(n) it gives the rows of
+        # the labels it would draw from list(g.nodes)
+        draws = chain.from_iterable(rng.sample(range(n), k) for _ in range(chunk))
+        picks = np.fromiter(draws, np.intp, chunk * k)
+        for density in _residual_densities(g, picks.reshape(chunk, k)):
+            total += density
     return total / trials

@@ -107,10 +107,11 @@ def degree_centrality(g: Graph) -> Dict[NodeId, float]:
     return _scores(g, np.diff(g._indptr))
 
 
-# Distance cells per block of sources: BC's (n, width) sigma (float32 while
-# exact, then float64), delta and level masks, or closeness's (width, n)
-# shortest-path distances. A closeness batch holds at most as many uint64
-# words per node array and gathers as many per level.
+# Distance cells per block of sources: BC's (n, width) level masks and its
+# float64 sigma, delta and share (one workspace per call, whose float32 sigma
+# lives in share's bytes), or closeness's (width, n) shortest-path distances.
+# A closeness batch holds at most as many uint64 words per node array and
+# gathers as many per level.
 _DISTANCE_CELLS = 1 << 16
 
 # BC counts a level's shortest paths in float32 while every count on it is
@@ -243,10 +244,15 @@ def _brandes_source(s: int, nbrs: List[List[int]], acc: List[float]) -> None:
             acc[w] += delta[w]
 
 
-def _dependencies(a, a32, levels: List[np.ndarray], rows: np.ndarray) -> np.ndarray:
+def _dependencies(a, a32, levels: List[np.ndarray], rows: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Each node's dependencies summed over the sources ``rows``, from their
     BFS ``levels`` (levels[d - 1] the (n, width) mask of distance d), by
     sparse x dense products with the adjacency ``a`` and its float32 copy.
+
+    ``work`` is the call's workspace, a float64 array whose three rows, of
+    at least n * width cells each, hold sigma, delta and share. The block
+    works on C-ordered (n, width) views of their first cells and fills each
+    before reading it, so blocks of any width share one workspace.
 
     The forward sweep counts shortest paths (sigma) from the level-1 mask,
     where every count is 1, and needs no mask of the level before: a node's
@@ -254,7 +260,9 @@ def _dependencies(a, a32, levels: List[np.ndarray], rows: np.ndarray) -> np.ndar
     are integers, and every partial sum of a level-d count is at most that
     count, so the sweep runs in float32 while a level's largest count stays
     below ``_FLOAT32_EXACT``. The first level that reaches it is redone in
-    float64 from the last exact sigma, as are the levels after it.
+    float64 from the last exact sigma, as are the levels after it. The
+    float32 counts live in share's bytes, which the back sweep first writes
+    after the counts are done.
 
     The back sweep runs in float64. It touches a level with few cells by
     index, else in whole-array passes, where an unreached cell's sigma of 1
@@ -262,7 +270,10 @@ def _dependencies(a, a32, levels: List[np.ndarray], rows: np.ndarray) -> np.ndar
     off the level. Each cell gets the same operations in the same order
     either way, so every score is the one an all-float64 sweep gives.
     """
-    sigma = levels[0].astype(np.float32)
+    shape, cells = levels[0].shape, levels[0].size
+    sigma64, delta, share = (buf[:cells].reshape(shape) for buf in work)
+    sigma = work[2].view(np.float32)[:cells].reshape(shape)  # in share's bytes
+    np.copyto(sigma, levels[0])
     sigma[rows, np.arange(len(rows))] = 1.0
     for level in levels[1:]:  # level d touches only d - 1, d, d + 1, and sigma is 0 from d on
         if sigma.dtype == np.float32:
@@ -271,12 +282,14 @@ def _dependencies(a, a32, levels: List[np.ndarray], rows: np.ndarray) -> np.ndar
             if step.max() < _FLOAT32_EXACT:
                 sigma += step
             else:  # this level and the rest in float64
-                sigma = sigma.astype(float)
+                np.copyto(sigma64, sigma)
+                sigma = sigma64
             del step  # each product is freed before the next is made
         if sigma.dtype == np.float64:
             sigma += a @ sigma * level
-    sigma = np.maximum(sigma, 1.0, dtype=float)
-    delta, share = np.zeros_like(sigma), np.zeros_like(sigma)
+    sigma = np.maximum(sigma, 1.0, out=sigma64, dtype=float)
+    delta.fill(0.0)
+    share.fill(0.0)
     sigma_f, delta_f, share_f = sigma.reshape(-1), delta.reshape(-1), share.reshape(-1)
     below = _sparse_cells(levels[-1])
     # a level d - 1 cell's neighbours lie on levels d - 2 to d, so share may keep
@@ -310,13 +323,16 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
     Sources run in blocks, whose BFS levels come from the bit-parallel BFS. A
     block at most ``_BETWEENNESS_DEPTH`` levels deep counts shortest paths
     and back-propagates dependencies level by level (``_dependencies``); a
-    deeper block runs Brandes' BFS per source.
+    deeper block runs Brandes' BFS per source. The first such product block
+    allocates the call's one workspace, which every later one reuses, so the
+    allocator neither returns its pages nor faults them in again per block.
     """
     _require_nonempty(g)
     n = g.node_count
     acc = np.zeros(n)
-    a = a32 = nbrs = None
-    for rows in _blocks(np.arange(n), max(1, _DISTANCE_CELLS // n)):
+    a = a32 = work = nbrs = None
+    width = max(1, _DISTANCE_CELLS // n)
+    for rows in _blocks(np.arange(n), width):
         levels = []  # levels[d - 1]: the (n, width) mask of distance d
         for d, nxt in enumerate(_bfs_levels(g, rows), 1):
             if d > _BETWEENNESS_DEPTH:
@@ -334,7 +350,8 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
                 continue
             if a is None:
                 a, a32 = _matrix(g), _matrix(g, np.float32)
-            acc += _dependencies(a, a32, levels, rows)
+                work = np.empty((3, n * min(width, n)))  # one allocation: a lower peak RSS than three
+            acc += _dependencies(a, a32, levels, rows, work)
     # every unordered pair was accumulated from both endpoints; below 3 nodes acc is all 0
     return _scores(g, acc * (1.0 / max((n - 1) * (n - 2), 1)))
 

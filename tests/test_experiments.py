@@ -113,12 +113,15 @@ def test_removal_impact_k0_identity(karate):
 
 
 def test_removal_impact_matches_manual_removal(karate):
-    report = removal_impact(karate, 5)
-    for m in COMPARISON_MEASURES:
-        expected = density(karate.remove_nodes(report[m][1]))
-        assert report[m][0] == expected  # stored exactly, no rounding
-        assert 0.0 <= report[m][0] <= 1.0
-        assert len(report[m][1]) == 5
+    others = [load_graph(GOLDEN / name) for name in ("isolated.net", "wide-labels.edges", "hk-332.net")]
+    for g in (karate, *others):
+        for k in (0, 1, 5):
+            report = removal_impact(g, k)
+            for m in COMPARISON_MEASURES:
+                expected = density(g.remove_nodes(report[m][1]))
+                assert report[m][0] == expected  # stored exactly, no rounding
+                assert 0.0 <= report[m][0] <= 1.0
+                assert len(report[m][1]) == k
 
 
 def test_removal_impact_removed_equals_table_columns(karate):
@@ -187,11 +190,18 @@ def test_random_removal_density_matches_the_oracle(karate, name):
     g = karate if name == "karate" else load_graph(GOLDEN / name)
     for k in (0, 1, 5):
         for trials, seed in ((100, DEFAULT_SEED), (7, 3), (1, 0)):
-            assert random_removal_density(g, k, trials, seed) == _oracle_random_removal(g, k, trials, seed), (
-                k,
-                trials,
-                seed,
-            )
+            got = random_removal_density(g, k, trials, seed)
+            assert got == _oracle_random_removal(g, k, trials, seed), (k, trials, seed)
+
+
+def test_random_removal_density_matches_the_oracle_across_chunks():
+    # the larger k, the fewer trials a chunk holds: 23, 3 and 2 here, so the
+    # 9 trials run in 1, 3 and 5 chunks; an edgeless graph's chunk holds all
+    g = load_graph(GOLDEN / "hk-332.net")
+    for k in (30, 200, 330):
+        assert random_removal_density(g, k, 9, 4) == _oracle_random_removal(g, k, 9, 4), k
+    edgeless = Graph([], nodes=range(10))
+    assert random_removal_density(edgeless, 3, 5, 1) == _oracle_random_removal(edgeless, 3, 5, 1)
 
 
 def test_targeted_removal_beats_random_on_karate(karate):

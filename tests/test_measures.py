@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -270,6 +271,51 @@ def test_betweenness_sweep_paths_give_the_same_scores(monkeypatch, betweenness_g
             got = betweenness_centrality(g)
             monkeypatch.setattr(measures, hook, forced)
             assert got == betweenness_centrality(g), (name, depth)
+
+
+def test_betweenness_blocks_score_alike_in_one_workspace(monkeypatch, betweenness_graphs):
+    # In blocks of 7 sources, every product block of a call reuses its sigma,
+    # delta and share, and the last block is narrower. The 17x17 grid counts
+    # some blocks in float32 alone and switches others to float64, and "mixed"
+    # runs per-source blocks between them. Each block must score as in a fresh
+    # workspace, filled with NaN so that a cell read before it is set shows,
+    # whichever sweep paths the hooks force.
+    from tricent import measures
+
+    real = measures._dependencies
+
+    def fresh(a, a32, levels, rows, work):
+        return real(a, a32, levels, rows, np.full_like(work, np.nan))
+
+    graphs = {"hk-332.net": betweenness_graphs["hk-332.net"], "mixed": betweenness_graphs["mixed"], "grid-17": _grid(17)}
+    for name, g in graphs.items():
+        monkeypatch.setattr(measures, "_DISTANCE_CELLS", 7 * g.node_count)
+        monkeypatch.setattr(measures, "_dependencies", fresh)
+        want = betweenness_centrality(g)
+        monkeypatch.setattr(measures, "_dependencies", real)
+        for hook, forced in ((None, None), ("_FLOAT32_EXACT", 0), ("_SPARSE_LEVEL", 0), ("_SPARSE_LEVEL", 2)):
+            with monkeypatch.context() as m:
+                if hook:
+                    m.setattr(measures, hook, forced)
+                assert betweenness_centrality(g) == want, (name, hook, forced)
+
+
+def test_betweenness_peaks_within_five_sigma_arrays():
+    # one call holds a workspace of three float64 (n, width) arrays, with the
+    # float32 counts in share's bytes, plus a product and the level masks: about
+    # 4.8 times one of them on hk-332.net, and 5.3 with a fourth, float32 array
+    from tricent import measures
+
+    g = load_graph(GOLDEN / "hk-332.net")
+    n = g.node_count
+    betweenness_centrality(g)  # scipy's first-call imports are not the call's memory
+    tracemalloc.start()
+    try:
+        betweenness_centrality(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * n * min(measures._DISTANCE_CELLS // n, n) * np.dtype(float).itemsize
 
 
 # ------------------------------------------------------------------- closeness
