@@ -9,7 +9,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .graph import Graph, NodeId, _density
-from .measures import Measure, _compute_each, _require_nonempty
+from .measures import Measure, _require_nonempty, compute
 
 # Column order used by every comparison table and removal report.
 COMPARISON_MEASURES: Tuple[Measure, ...] = (
@@ -96,8 +96,7 @@ def comparison_table(
 ) -> Dict[Measure, Tuple[NodeId, ...]]:
     """Top-k nodes of each measure, keyed in ``measures`` order."""
     _require_nonempty(g)
-    each = _compute_each(g, measures, damping=damping, tol=tol, max_iter=max_iter)
-    return {m: tuple(rank_top_k(scores, k)) for m, scores in zip(measures, each)}
+    return {m: tuple(rank_top_k(compute(g, m, damping=damping, tol=tol, max_iter=max_iter), k)) for m in measures}
 
 
 def removal_impact(

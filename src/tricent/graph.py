@@ -33,27 +33,30 @@ class Graph:
     Self-loops are dropped and duplicate/reversed edge pairs collapse to one
     edge at construction time. Node labels round-trip unchanged through every
     operation (Pajek inputs keep their 1-based integers). Instances never
-    mutate: removal and subgraph operations return new graphs, so a Graph can
-    be shared freely across threads.
+    mutate: removal and subgraph operations return new graphs. The triangle
+    counts, computed on first use and kept, change nothing a Graph shows, so it
+    can be shared freely across threads: two first calls at worst count twice.
 
     The adjacency is a symmetric CSR pattern over the sorted labels (row k is
     the k-th smallest label): two numpy arrays, ``_indptr`` and ``_indices``,
     with sorted, distinct columns in every row and no values.
     """
 
-    __slots__ = ("_labels", "_index", "_indptr", "_indices")
+    __slots__ = ("_labels", "_index", "_indptr", "_indices", "_counts")
 
     def __init__(self, edges: Iterable[Tuple[NodeId, NodeId]] = (), nodes: Iterable[NodeId] = ()):
         ends = [x for u, v in edges for x in (u, v)]
         self._labels: list[NodeId] = sorted({*nodes, *ends})
         self._index = {v: k for k, v in enumerate(self._labels)}
         self._indptr, self._indices = _adjacency(len(self._labels), self._rows(ends))
+        self._counts = None  # (triangles, sdeg) once _triangle_counts has run
 
     @classmethod
     def _of(cls, labels: list[NodeId], csr: Tuple[np.ndarray, np.ndarray]) -> "Graph":
         """Graph on ``labels`` (sorted, distinct) whose k-th label owns row k of ``csr``."""
         g = cls.__new__(cls)
         g._labels, g._index, (g._indptr, g._indices) = labels, {v: k for k, v in enumerate(labels)}, csr
+        g._counts = None
         return g
 
     @property
@@ -184,7 +187,7 @@ _BLOCK_WORK = 1 << 14
 
 
 def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-node triangle counts and sdeg, in node order, for the whole graph.
+    """Per-node triangle counts and sdeg, in node order, counted once per graph.
 
     Nodes are ranked by (degree, row); U holds each edge once, in the row of
     its lower-ranked end, so even hubs have short rows. Each triangle i < j < k
@@ -195,6 +198,8 @@ def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
     nodes, and marks its three edges; a node's sdeg is the number of its edges
     marked.
     """
+    if g._counts is not None:
+        return g._counts
     n = len(g._labels)
     rank = np.empty(n, np.intp)
     rank[np.argsort(np.diff(g._indptr), kind="stable")] = np.arange(n)
@@ -232,7 +237,10 @@ def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
         start = stop
     del first, wedges, before  # freed before the sdeg counts are made
     sizes = np.bincount(src[hit], minlength=n) + np.bincount(dst[hit], minlength=n)
-    return triangles[rank], sizes[rank]
+    g._counts = triangles[rank], sizes[rank]
+    for counts in g._counts:
+        counts.flags.writeable = False  # every later caller shares them
+    return g._counts
 
 
 def density(g: Graph) -> float:

@@ -78,7 +78,8 @@ def tr_centrality(g: Graph) -> Dict[NodeId, float]:
     -0.02.
     """
     _require_nonempty(g)
-    return _scores(g, _FROM_TRIANGLES[Measure.TC](*_triangle_counts(g)))
+    triangles, sizes = _triangle_counts(g)
+    return _scores(g, 0.01 * (3 * sizes + triangles - 2))
 
 
 def sdeg_centrality(g: Graph) -> Dict[NodeId, float]:
@@ -91,14 +92,6 @@ def triangle_count_centrality(g: Graph) -> Dict[NodeId, float]:
     """Per-node count of incident triangles."""
     _require_nonempty(g)
     return _scores(g, _triangle_counts(g)[0])
-
-
-# the measures that one triangle pass's per-node (triangles, sizes) give
-_FROM_TRIANGLES = {
-    Measure.TC: lambda triangles, sizes: 0.01 * (3 * sizes + triangles - 2),
-    Measure.TR: lambda triangles, sizes: triangles,
-    Measure.SDEG: lambda triangles, sizes: sizes,
-}
 
 
 def degree_centrality(g: Graph) -> Dict[NodeId, float]:
@@ -490,18 +483,6 @@ def compute(
     if measure is Measure.PR:
         return pagerank(g, damping=damping, tol=tol, max_iter=max_iter)
     return _PARAMETERLESS[measure](g)
-
-
-def _compute_each(g: Graph, measures: Iterable[Measure], **solver) -> Iterator[Dict[NodeId, float]]:
-    """``compute(g, m, **solver)`` for each of ``measures`` in turn, with one
-    triangle pass for all of TC, TR and SDEG."""
-    counts = None
-    for measure in measures:
-        if measure in _FROM_TRIANGLES:
-            counts = counts or _triangle_counts(g)
-            yield _scores(g, _FROM_TRIANGLES[measure](*counts))
-        else:
-            yield compute(g, measure, **solver)
 
 
 _PARAMETERLESS = {

@@ -11,10 +11,12 @@ import pytest
 from tricent import (
     COMPARISON_MEASURES,
     DEFAULT_SEED,
+    EXPERIMENT_DAMPING,
     Graph,
     Measure,
     betweenness_centrality,
     comparison_table,
+    compute,
     density,
     load_graph,
     random_removal_density,
@@ -86,9 +88,15 @@ def test_comparison_table_k5_complete_graph_tie_break():
         assert column == (1, 2, 3)
 
 
-def test_comparison_table_tc_column_matches_direct_path(karate):
-    table = comparison_table(karate, 5)
-    assert list(table[Measure.TC]) == rank_top_k(tr_centrality(karate), 5)
+@pytest.mark.parametrize("measure", list(Measure))
+def test_comparison_table_tc_column_matches_direct_path(karate, measure):
+    # every column is the measure's own dispatch, ranked; the triangle measures
+    # share the graph's kept counts
+    others = [load_graph(GOLDEN / name) for name in ("hk-332.net", "isolated.net")]
+    for g in (karate, *others):
+        table = comparison_table(g, 5, tuple(Measure))
+        assert table[measure] == tuple(rank_top_k(compute(g, measure, damping=EXPERIMENT_DAMPING), 5))
+    assert list(comparison_table(karate, 5)[Measure.TC]) == rank_top_k(tr_centrality(karate), 5)
 
 
 def test_comparison_table_missing_column_lookup(karate):
@@ -144,7 +152,7 @@ def test_removal_impact_k_too_large():
 def test_removal_leaving_one_node_rejected(karate, monkeypatch):
     from tricent import experiments
 
-    monkeypatch.setattr(experiments, "_compute_each", lambda *a, **kw: pytest.fail("computed"))
+    monkeypatch.setattr(experiments, "compute", lambda *a, **kw: pytest.fail("computed"))
     with pytest.raises(ValueError, match="k=2 leaves 1 of 3 nodes"):
         removal_impact(Graph([(1, 2), (2, 3)]), 2)
     with pytest.raises(ValueError, match="k=0 leaves 1 of 1 nodes"):

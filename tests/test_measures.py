@@ -17,11 +17,13 @@ from tricent import (
     Measure,
     betweenness_centrality,
     closeness_centrality,
+    comparison_table,
     compute,
     degree_centrality,
     eigenvector_centrality,
     load_graph,
     pagerank,
+    rank_top_k,
     sdeg,
     sdeg_centrality,
     tr_centrality,
@@ -89,8 +91,63 @@ def test_tc_closed_form_matches_definition():
 
 
 def test_tc_empty_graph_rejected():
-    with pytest.raises(ValueError):
-        tr_centrality(Graph())
+    functions = (
+        tr_centrality, triangle_count_centrality, degree_centrality, betweenness_centrality,
+        closeness_centrality, eigenvector_centrality, pagerank, sdeg_centrality,
+    )
+    calls = [lambda f=f: f(Graph()) for f in functions]
+    calls += [lambda m=m: compute(Graph(), m) for m in Measure]
+    calls.append(lambda: comparison_table(Graph(), 3, ()))  # even with no measure to run
+    for call in calls:
+        with pytest.raises(ValueError, match="^measure needs a nonempty graph$"):
+            call()
+
+
+def test_one_triangle_pass_per_graph(monkeypatch):
+    # the graph keeps its counts, so the triangle measures, the dispatch and the
+    # comparison table share one pass; a slice of it counts its own
+    from tricent import graph, measures
+
+    passes = []
+    real = measures._triangle_counts
+
+    def spy(g):
+        if g._counts is None:
+            passes.append(g)
+        return real(g)
+
+    monkeypatch.setattr(measures, "_triangle_counts", spy)
+    g = load_graph(GOLDEN / "hk-332.net")
+    scores = [tr_centrality(g), triangle_count_centrality(g), sdeg_centrality(g), compute(g, "SDEG")]
+    table = comparison_table(g, 5)
+    assert passes == [g]
+    assert scores[2] == scores[3] and table[Measure.TC] == tuple(rank_top_k(scores[0], 5))
+    victims = list(g.nodes)[::3]
+    for sub in (g.remove_nodes(victims), g.induced_subgraph(victims)):
+        fresh = graph._triangle_counts(Graph(sub.edges(), nodes=sub.nodes))
+        assert sub._counts is None
+        assert all(np.array_equal(a, b) for a, b in zip(graph._triangle_counts(sub), fresh))
+
+
+def test_threads_sharing_a_graph_read_the_scores_of_one_thread():
+    # first calls that race on one graph may each count, but they count alike;
+    # a short switch interval makes the threads interleave inside the pass
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    functions = (tr_centrality, triangle_count_centrality, sdeg_centrality)
+    want = [f(load_graph(GOLDEN / "hk-332.net")) for f in functions]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = load_graph(GOLDEN / "hk-332.net")
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(f, g) for _ in range(4) for f in functions]
+                got = [future.result(timeout=60) for future in futures]
+            assert got == want * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ------------------------------------------------------------ counting measures
