@@ -144,15 +144,19 @@ def _adjacency(n: int, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     pairs = ends.reshape(-1, 2)
     pairs[pairs[:, 0] == pairs[:, 1]] = -1  # a self-loop's two keys are negative
     u, v = pairs.T
-    u[...], v[...] = u * n + v, v * n + u  # entry (row, col) has the key row * n + col
-    key = pairs.reshape(-1)
+    key = v * n + u  # entry (row, col) has the key row * n + col
+    u *= n
+    u += v
+    v[...] = key
+    key = pairs.reshape(-1)  # the keys stay in the buffer of ends
     key.sort()
     first = np.empty(len(key), bool)  # the first of each run of repeats, if not negative
     first[:1] = key[:1] >= 0
     np.not_equal(key[1:], key[:-1], out=first[1:])
-    kept = key[first]
-    key = key[: len(kept)]  # the CSR's indices share the buffer of ends
-    key[...] = kept
+    if np.count_nonzero(first) < len(first):  # drop repeats and self-loops; the CSR's indices share that buffer
+        kept = key[first]
+        key = key[: len(kept)]
+        key[...] = kept
     return np.searchsorted(key, np.arange(n + 1) * n), np.remainder(key, n, out=key)
 
 
@@ -180,9 +184,10 @@ def triangles_at(g: Graph, i: NodeId) -> int:
 
 # Wedges per block of the triangle pass. On Holme-Kim graphs of 20k nodes and
 # 200k edges (919k wedges) and of 1224 nodes and 16.9k edges (111k wedges), the
-# pass's peak allocation was 10.2 and 1.7 MB at 2**14, and 10.7 and 2.7 MB at
+# pass's peak allocation was 6.5 and 1.5 MB at 2**14, and 7.5 and 2.5 MB at
 # 2**15, where the row search's block temporaries also took a 10k-node graph's
-# pass to 5.2 times its column indices; no cut from 2**13 to 2**16 was faster.
+# pass from 3.3 to 4.4 times its column indices; no cut from 2**13 to 2**16 was
+# faster.
 _BLOCK_WORK = 1 << 14
 
 
@@ -203,22 +208,22 @@ def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
     n = len(g._labels)
     rank = np.empty(n, np.intp)
     rank[np.argsort(np.diff(g._indptr), kind="stable")] = np.arange(n)
-    src, dst = np.repeat(rank, np.diff(g._indptr)), rank[g._indices]  # each entry's ranked ends
-    upper = src < dst
-    key = np.multiply(src[upper], n, dtype=np.int64)  # U's entries as row * n + col
-    key += dst[upper]
-    del src, dst, upper  # freed before U's edge arrays are made
+    low = rank.astype(np.int32)  # int32 ranks halve the mask's two 2m-long operands
+    upper = np.repeat(low, np.diff(g._indptr)) <= low[g._indices]  # the entries whose row ranks lower, as ranks differ
+    del low
+    key = np.repeat(rank, np.diff(g._indptr))[upper] * n + rank[g._indices[upper]]  # U's entries as row * n + col
+    del upper  # freed before U's edge arrays are made
     key.sort()  # row-major
-    src, dst = np.divmod(key, n)  # edge e of U joins src[e] < dst[e]; dst ascends in a row
     first = np.searchsorted(key, np.arange(n + 1) * n)  # row r of U is key[first[r]:first[r + 1]]
     steps = [1 << b for b in reversed(range(int(np.diff(first).max(initial=0)).bit_length()))]
-    # edge e opens a wedge with each later edge f of its row
-    wedges = first[src + 1] - np.arange(1, len(key) + 1)
-    before = np.concatenate([[0], np.cumsum(wedges)])  # wedges opened before edge e
+    # edge e opens a wedge with each later edge of its row, so before[e], the
+    # wedges opened before edge e, sums (end of e's row) - e - 1 over earlier edges
+    before = np.concatenate([[0], np.cumsum(np.repeat(first[1:], np.diff(first)) - np.arange(1, len(key) + 1))])
+    dst = key % n  # edge e of U joins key[e] // n < dst[e]; dst ascends in a row
     triangles, hit, start = np.zeros(n, np.int64), np.zeros(len(key), bool), 0
     while start < len(key):
         stop = max(start + 1, int(np.searchsorted(before, before[start] + _BLOCK_WORK, "right")) - 1)
-        count = wedges[start:stop]
+        count = np.diff(before[start : stop + 1])
         # the block's wedge w pairs edge e with edge e + 1 + w - (the block's first wedge of e)
         shift = np.arange(start + 1, stop + 1) - (before[start:stop] - before[start])
         e = np.repeat(np.arange(start, stop), count)
@@ -233,10 +238,10 @@ def _triangle_counts(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
         found = np.flatnonzero(key.take(at, mode="clip") == closing)  # also rejects a clipped overshoot past U's last row
         e, f, at = e[found], f[found], at[found]
         hit[e] = hit[f] = hit[at] = True
-        triangles += np.bincount(np.concatenate([src[e], dst[e], dst[f]]), minlength=n)
+        triangles += np.bincount(np.concatenate([key[e] // n, dst[e], dst[f]]), minlength=n)
         start = stop
-    del first, wedges, before  # freed before the sdeg counts are made
-    sizes = np.bincount(src[hit], minlength=n) + np.bincount(dst[hit], minlength=n)
+    del first, before  # freed before the sdeg counts are made
+    sizes = np.bincount(key[hit] // n, minlength=n) + np.bincount(dst[hit], minlength=n)
     g._counts = triangles[rank], sizes[rank]
     for counts in g._counts:
         counts.flags.writeable = False  # every later caller shares them
@@ -300,7 +305,8 @@ def _lf(text: str) -> str:
     """``text`` with every line end that str.splitlines knows as LF, so that line
     k of ``text`` is line k of the result."""
     if any(c in text for c in _LINE_BREAKS):
-        return "".join(line + "\n" for line in text.splitlines())
+        for end in ("\r\n", *_LINE_BREAKS):  # CRLF first, as it ends one line
+            text = text.replace(end, "\n")
     return text
 
 
@@ -309,30 +315,36 @@ def _lf(text: str) -> str:
 # fromstring and int() read alike.
 _DIGITS = bytes.maketrans(b"123456789\t", b"000000000 ")
 
+# Bytes of a body that _plain_pairs checks at once: a slice runs to the first
+# line end at or past this many bytes, or to the body's end.
+_SLICE_BYTES = 1 << 17
+
 
 def _plain_pairs(body: str) -> np.ndarray | None:
     """``body`` as an (m, 2) int64 array when every nonblank line of it is two
     unsigned decimal integers of at most 18 digits, and None for any other body."""
     if not body.isascii():
         return None
-    shape = body.encode().translate(_DIGITS)
-    if shape.translate(None, b"0 \n") or b"0" * 19 in shape:
-        return None
-    # one b"0" for the first digit of each token and one b"\n" for each line
-    # end, so a line of two tokens leaves b"00"; the first byte is kept too, and
-    # is a b"0" only when it starts a token
-    s = np.frombuffer(shape, np.uint8)
-    digit = s == ord("0")
-    mark = np.empty_like(digit)
-    mark[:1] = True
-    np.greater(digit[1:], digit[:-1], out=mark[1:])
-    mark |= np.equal(s, ord("\n"), out=digit)
-    del digit  # freed before the marked bytes are copied
-    marks = s[mark].tobytes()
-    del shape, s, mark  # freed before fromstring's array is made
-    tokens = 2 * marks.count(b"00")
-    if tokens != marks.count(b"0") or b"000" in marks:
-        return None
+    tokens, start = 0, 0
+    while start < len(body):
+        stop = body.find("\n", start + _SLICE_BYTES - 1) + 1 or len(body)
+        shape = body[start:stop].encode().translate(_DIGITS)
+        if shape.translate(None, b"0 \n") or b"0" * 19 in shape:
+            return None
+        # one b"0" for the first digit of each token and one b"\n" for each line
+        # end, so a line of two tokens leaves b"00"; the slice's first byte is
+        # kept too, and is a b"0" only when it starts a token
+        s = np.frombuffer(shape, np.uint8)
+        digit = s == ord("0")
+        mark = np.empty_like(digit)
+        mark[:1] = True
+        np.greater(digit[1:], digit[:-1], out=mark[1:])
+        mark |= np.equal(s, ord("\n"), out=digit)
+        marks = s[mark].tobytes()
+        pairs = marks.count(b"00")
+        if 2 * pairs != marks.count(b"0") or b"000" in marks:
+            return None
+        tokens, start = tokens + 2 * pairs, stop
     return np.fromstring(body, np.int64, tokens, sep=" ").reshape(-1, 2)
 
 
@@ -342,8 +354,8 @@ _SECTIONS = {
     "*edgeslist": "list", "*arcslist": "list",
 }
 
-# Largest *Vertices count accepted: every declared vertex costs about 170
-# bytes of peak memory even when isolated, so this allows about 1.7 GB.
+# Largest *Vertices count accepted: an isolated vertex costs 130 bytes of peak
+# memory to read and 158 with the triangle pass, so this allows about 1.6 GB.
 _MAX_VERTICES = 10**7
 
 
@@ -394,9 +406,11 @@ def parse_pajek(text: str) -> Graph:
         section, body, lineno = _SECTIONS[key] or section, end, lineno + 1
     if n is None:
         raise ParseError("missing *Vertices header", lf.count("\n") + (not lf.endswith("\n")))
-    ends = np.concatenate(ends)
+    full = [piece for piece in ends if len(piece)]
+    ends = full[0] if len(full) == 1 else np.concatenate(ends)  # no copy of a lone section
     ends -= 1  # label v is row v - 1
-    return Graph._of(list(range(1, n + 1)), _adjacency(n, ends))
+    csr = _adjacency(n, ends)  # built before the labels are made
+    return Graph._of(list(range(1, n + 1)), csr)
 
 
 def _read_body(body: str, section: str | None, n: int | None, lineno: int) -> np.ndarray:

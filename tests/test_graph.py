@@ -7,6 +7,7 @@ import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tricent import (
@@ -530,19 +531,58 @@ def test_signed_labels_take_the_line_scan(monkeypatch):
     assert len(scans) == 1
 
 
-def test_a_plain_file_is_read_within_six_times_its_size(tmp_path):
-    # fromstring and the CSR build in place keep the read's peak at about 4.7
-    # times the file's size (8.2 with loadtxt); the triangle pass, whose peak
-    # here is 4.2 times the graph's column indices (5.2 with blocks of 2**15
-    # wedges), stays within 5 times
+def test_plain_pairs_reads_alike_in_slices_of_any_size(monkeypatch):
+    # _plain_pairs checks a body one slice at a time, each ending at a line end,
+    # so where the slices fall must change neither the verdict nor the array
     from tricent import graph
 
+    plain_pairs, bodies = graph._plain_pairs, set()
+    monkeypatch.setattr(graph, "_plain_pairs", lambda body: bodies.add(body) or plain_pairs(body))
+    texts = [(reader, text) for reader, text, *_ in READER_ERRORS] + READER_EDGE_CASES
+    texts += [(READ_AS[suffix][0], text) for suffix, text in _plain_files(random.Random(5))]
+    for seed in (0, 1):  # the reader fuzz
+        rng = random.Random(seed)
+        for _ in range(1000):
+            texts += [(parse_pajek, _fuzz_pajek(rng)),
+                      (parse_edgelist, _fuzz_text(rng, _fuzz_lines(rng, rng.randint(0, 8))))]
+    for reader, text in texts:
+        try:
+            reader(text)
+        except ParseError:
+            pass
+    whole = {body: plain_pairs(body) for body in bodies}
+    assert max(len(body) for body, pairs in whole.items() if pairs is not None) > 100 * 64
+    for size in (1, 7, 64):
+        monkeypatch.setattr(graph, "_SLICE_BYTES", size)
+        for body, pairs in whole.items():
+            sliced = plain_pairs(body)
+            assert (sliced is None) == (pairs is None), body
+            if pairs is not None:
+                assert sliced.dtype == pairs.dtype and np.array_equal(sliced, pairs), body
+
+
+def _hk_10k() -> tuple:
+    """A triad-rich graph of 10k nodes: (its Pajek text, its edge list text, its edge count)."""
     rng = random.Random(18)
     n = 10_000
     edges = triad_rich(rng, rng.sample(range(1, n + 1), n), 5)  # 49985 edges
     vertices = "".join(f'{v} "v{v}"\n' for v in range(1, n + 1))
+    body = "".join(f"{u} {v}\n" for u, v in edges)
+    return f"*Vertices {n}\n{vertices}*Edges\n{body}", body, len(edges)
+
+
+def test_a_plain_file_is_read_within_six_times_its_size(tmp_path):
+    # the whole-body check of slices, fromstring and the CSR build in place
+    # keep the read's peak at about 4.1 times the file's size (4.7 with the
+    # check over the whole body, 8.2 with loadtxt); the triangle pass, whose
+    # peak here is 3.3 times the graph's column indices (4.2 with every
+    # entry's ranked ends held at once, and U's edge ends beside U), stays
+    # within 3.6 times
+    from tricent import graph
+
+    text, _, m = _hk_10k()
     path = tmp_path / "hk-10k.net"
-    path.write_text(f"*Vertices {n}\n{vertices}*Edges\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    path.write_text(text)
     tracemalloc.start()
     try:
         g = load_graph(path)
@@ -553,9 +593,40 @@ def test_a_plain_file_is_read_within_six_times_its_size(tmp_path):
         pass_peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
-    assert g.edge_count == len(edges)
-    assert read_peak <= 6 * path.stat().st_size
-    assert pass_peak <= 5 * g._indices.nbytes
+    assert g.edge_count == m
+    assert read_peak <= 4.5 * path.stat().st_size
+    assert pass_peak <= 3.6 * g._indices.nbytes
+
+
+def test_an_edge_list_is_read_within_twelve_times_its_size(tmp_path):
+    # np.unique's sort and inverse make the read's peak 11.2 times the file's
+    # size; this keeps it from growing
+    _, text, m = _hk_10k()
+    path = tmp_path / "hk-10k.edges"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        g = load_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == m
+    assert peak <= 12 * path.stat().st_size
+
+
+def test_crlf_line_ends_become_lf_within_the_text_size():
+    # one replace per kind of line end; a list of every line took 11.9 times
+    from tricent import graph
+
+    text = _hk_10k()[0].replace("\n", "\r\n")
+    tracemalloc.start()
+    try:
+        lf = graph._lf(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lf == text.replace("\r\n", "\n")
+    assert peak <= 1.1 * len(text)
 
 
 # Every line end str.splitlines knows, and the lines random files are made of:
