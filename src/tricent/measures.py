@@ -212,15 +212,14 @@ def _sparse_cells(level: np.ndarray) -> Optional[np.ndarray]:
     return np.flatnonzero(level)
 
 
-def _brandes_source(s: int, nbrs: List[List[int]], acc: List[float]) -> None:
-    """Add source s's dependencies to acc: one BFS and its back-propagation."""
+def _brandes_source(s: int, nbrs: List[List[int]]) -> List[float]:
+    """Source s's dependencies by one BFS and a back sweep in the products'
+    arithmetic: delta[v] is sigma[v] times v's row of ``a @ share``."""
     n = len(nbrs)
-    pred: list[list[int]] = [[] for _ in range(n)]
-    sigma = [0] * n
-    sigma[s] = 1
-    dist = [-1] * n
-    dist[s] = 0
-    order = [s]  # the BFS queue, read as it grows; reversed, the back-propagation's stack
+    succ: list[list[int]] = [[] for _ in range(n)]
+    sigma, dist = [0] * n, [-1] * n
+    sigma[s], dist[s] = 1, 0
+    order = [s]  # the BFS queue, read as it grows; reversed, the back sweep's stack
     for v in order:
         for w in nbrs[v]:
             if dist[w] < 0:
@@ -228,24 +227,26 @@ def _brandes_source(s: int, nbrs: List[List[int]], acc: List[float]) -> None:
                 order.append(w)
             if dist[w] == dist[v] + 1:
                 sigma[w] += sigma[v]
-                pred[w].append(v)
-    delta = [0.0] * n
-    for w in reversed(order):
-        for v in pred[w]:
-            delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-        if w != s:
-            acc[w] += delta[w]
+                succ[v].append(w)
+    delta, share = [0.0] * n, [0.0] * n  # share[w]: (1 + delta[w]) / sigma[w]
+    for v in reversed(order[1:]):  # the source's own dependency stays 0
+        total = 0.0  # over v's next level in CSR order; sum() is compensated from Python 3.12
+        for w in succ[v]:
+            total += share[w]
+        delta[v] = total * sigma[v]
+        share[v] = (1.0 + delta[v]) / sigma[v]
+    return delta
 
 
 def _dependencies(a, a32, levels: List[np.ndarray], rows: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Each node's dependencies summed over the sources ``rows``, from their
-    BFS ``levels`` (levels[d - 1] the (n, width) mask of distance d), by
+    """The (n, width) dependencies of every node on each source of ``rows``, from
+    their BFS ``levels`` (levels[d - 1] the (n, width) mask of distance d), by
     sparse x dense products with the adjacency ``a`` and its float32 copy.
 
     ``work`` is the call's workspace, a float64 array whose three rows, of
     at least n * width cells each, hold sigma, delta and share. The block
-    works on C-ordered (n, width) views of their first cells and fills each
-    before reading it, so blocks of any width share one workspace.
+    works on C-ordered (n, width) views of their first cells, fills each
+    before reading it, and returns delta's, so blocks of any width share it.
 
     The forward sweep counts shortest paths (sigma) from the level-1 mask,
     where every count is 1, and needs no mask of the level before: a node's
@@ -303,7 +304,7 @@ def _dependencies(a, a32, levels: List[np.ndarray], rows: np.ndarray, work: np.n
         else:
             delta_f[below] = step.reshape(-1)[below] * sigma_f[below]
         del step
-    return delta.sum(axis=1)
+    return delta
 
 
 def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
@@ -316,9 +317,14 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
     Sources run in blocks, whose BFS levels come from the bit-parallel BFS. A
     block at most ``_BETWEENNESS_DEPTH`` levels deep counts shortest paths
     and back-propagates dependencies level by level (``_dependencies``); a
-    deeper block runs Brandes' BFS per source. The first such product block
-    allocates the call's one workspace, which every later one reuses, so the
-    allocator neither returns its pages nor faults them in again per block.
+    deeper block runs Brandes' BFS per source in the same arithmetic. Each
+    source's dependencies are added to the scores in source order, so block
+    width, branch and sweep path leave every score ``==`` while each shortest
+    path count is below 2**53 (the products count in floats, the per-source
+    branch in Python ints). Exact ties between equivalent nodes are not
+    promised. The first product block allocates the call's one workspace,
+    which later ones reuse, so the allocator neither returns nor faults in
+    its pages per block.
     """
     _require_nonempty(g)
     n = g.node_count
@@ -332,10 +338,8 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
                 if nbrs is None:
                     indptr, indices = g._indptr.tolist(), g._indices.tolist()
                     nbrs = [indices[indptr[k] : indptr[k + 1]] for k in range(n)]
-                part = [0.0] * n
                 for s in rows.tolist():
-                    _brandes_source(s, nbrs, part)
-                acc += part
+                    acc += _brandes_source(s, nbrs)
                 break
             levels.append(_bits(nxt, len(rows)))
         else:
@@ -344,7 +348,8 @@ def betweenness_centrality(g: Graph) -> Dict[NodeId, float]:
             if a is None:
                 a, a32 = _matrix(g), _matrix(g, np.float32)
                 work = np.empty((3, n * min(width, n)))  # one allocation: a lower peak RSS than three
-            acc += _dependencies(a, a32, levels, rows, work)
+            for column in _dependencies(a, a32, levels, rows, work).T:
+                acc += column
     # every unordered pair was accumulated from both endpoints; below 3 nodes acc is all 0
     return _scores(g, acc * (1.0 / max((n - 1) * (n - 2), 1)))
 

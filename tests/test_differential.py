@@ -212,11 +212,14 @@ def test_bc_and_cnc_on_random_deep_and_shallow_graphs(monkeypatch):
         h = to_nx(g)
         bc_ref = nx.betweenness_centrality(h)
         cnc_ref = nx.closeness_centrality(h, wf_improved=True)
+        scores = []
         for width in (1, 7, 64, g.node_count):
             monkeypatch.setattr(measures, "_DISTANCE_CELLS", width * g.node_count)
             monkeypatch.setattr(measures, "_batch_width", lambda g, width=width: width)
             bc = betweenness_centrality(g)
             assert max(abs(bc[v] - bc_ref[v]) for v in g.nodes) <= 1e-12
             assert closeness_centrality(g) == cnc_ref
+            scores.append(bc)
+        assert all(bc == scores[0] for bc in scores)  # one sum in source order at every width
 
     check()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -238,23 +238,6 @@ def _betweenness_at(monkeypatch, g, width, depth):
     return betweenness_centrality(g)
 
 
-@pytest.mark.parametrize("width", [1, 7, 64, 65, "n"])
-def test_betweenness_branches_agree_at_every_block_width(monkeypatch, betweenness_graphs, width):
-    # depth -1 sends every block to per-source Brandes, 10**9 every block to
-    # the sparse x dense sweeps; they differ only in rounding
-    from tricent import measures
-
-    default = measures._BETWEENNESS_DEPTH
-    for name, g in betweenness_graphs.items():
-        per_source = _betweenness_at(monkeypatch, g, width, -1)
-        for depth in (10**9, default):
-            got = _betweenness_at(monkeypatch, g, width, depth)
-            assert all(abs(got[v] - want) <= 1e-12 * want for v, want in per_source.items()), (
-                name,
-                depth,
-            )
-
-
 @pytest.mark.parametrize(
     "name, width, calls",
     # on "mixed", the 15 blocks of 7 that hold a path node (rows 0-99) are deep
@@ -277,7 +260,7 @@ def test_betweenness_runs_per_source_brandes_only_for_deep_blocks(
 
     def spy(s, *rest):
         sources.append(s)
-        real(s, *rest)
+        return real(s, *rest)
 
     monkeypatch.setattr(measures, "_brandes_source", spy)
     _betweenness_at(monkeypatch, betweenness_graphs[name], width, measures._BETWEENNESS_DEPTH)
@@ -305,29 +288,41 @@ def _deep_counts():
     return {"grid-16": _grid(16), "grid-17": _grid(17), "layers-7x17": _layers(7, 17)}
 
 
-def test_betweenness_sweeps_past_2_24_paths_agree_with_brandes(monkeypatch):
-    for name, g in _deep_counts().items():
-        per_source = _betweenness_at(monkeypatch, g, "n", -1)
-        got = _betweenness_at(monkeypatch, g, "n", 10**9)
-        assert all(abs(got[v] - want) <= 1e-12 * want for v, want in per_source.items()), name
+@pytest.fixture(scope="module")
+def betweenness_at_defaults(betweenness_graphs):
+    return {name: (g, betweenness_centrality(g)) for name, g in {**betweenness_graphs, **_deep_counts()}.items()}
 
 
-@pytest.mark.parametrize("hook, forced", [("_FLOAT32_EXACT", 0), ("_SPARSE_LEVEL", 0), ("_SPARSE_LEVEL", 2)])
-def test_betweenness_sweep_paths_give_the_same_scores(monkeypatch, betweenness_graphs, hook, forced):
-    # _FLOAT32_EXACT 0 counts every level after the first in float64, and at
-    # depth 10**9 the 60 diamonds reach 2**60 paths. _SPARSE_LEVEL 0 runs every
-    # level of the back sweep in whole-array passes, 2 every level by index;
-    # the default mixes them within a block.
+@pytest.mark.parametrize("depth", [None, -1, 10**9])
+@pytest.mark.parametrize("width", [None, 1, 7, 64, 65, "n"])
+def test_betweenness_scores_are_equal_at_every_hook_setting(monkeypatch, betweenness_at_defaults, width, depth):
+    # BC adds each source's dependencies into the total one source at a time,
+    # in source order, and its per-source branch does the products'
+    # arithmetic, so while every shortest-path count is below 2**53 no block
+    # width, depth branch or sweep path moves a score. None stands for the
+    # hook's default. Depth -1 sends every block to per-source Brandes, 10**9
+    # every block to the products. _FLOAT32_EXACT 0 counts every level after
+    # the first in float64 (the 60 diamonds reach 2**60 paths, each count a
+    # power of 2); _SPARSE_LEVEL 0 runs every back-sweep level in whole-array
+    # passes, 2 every level by index. Above 100 nodes the sweep hooks vary
+    # only at the default width, and not at depth -1, where no block reads them.
     from tricent import measures
 
-    default = getattr(measures, hook)
-    for depth in (measures._BETWEENNESS_DEPTH, 10**9):
-        monkeypatch.setattr(measures, "_BETWEENNESS_DEPTH", depth)
-        for name, g in {**betweenness_graphs, **_deep_counts()}.items():
-            monkeypatch.setattr(measures, hook, default)
-            got = betweenness_centrality(g)
-            monkeypatch.setattr(measures, hook, forced)
-            assert got == betweenness_centrality(g), (name, depth)
+    sparse, exact = measures._SPARSE_LEVEL, measures._FLOAT32_EXACT
+    for name, (g, want) in betweenness_at_defaults.items():
+        n = g.node_count
+        with monkeypatch.context() as m:
+            if width is not None:
+                m.setattr(measures, "_DISTANCE_CELLS", n * (n if width == "n" else width))
+            if depth is not None:
+                m.setattr(measures, "_BETWEENNESS_DEPTH", depth)
+            sweeps = product((sparse, 0, 2), (exact, 0))
+            if n > 100 and (width is not None or depth == -1):
+                sweeps = [(sparse, exact)]
+            for level, cap in sweeps:
+                m.setattr(measures, "_SPARSE_LEVEL", level)
+                m.setattr(measures, "_FLOAT32_EXACT", cap)
+                assert betweenness_centrality(g) == want, (name, level, cap)
 
 
 def test_betweenness_blocks_score_alike_in_one_workspace(monkeypatch, betweenness_graphs):
